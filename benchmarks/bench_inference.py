@@ -1,10 +1,11 @@
-"""Inference fast path — workspace-reuse execution vs. the reference path.
+"""Inference fast path — the default inference path vs. the reference path.
 
-Measures what PR 4 changed: single-image latency and batched throughput
-for every deployable model (CNN, RNN, the three privacy dCNNs, and the
-full ensemble), comparing the workspace-reuse fast path against the
-reference forward (``repro.nn.reference_mode``, which runs the exact
-training-style forward with backward caches).  A second section replays
+Measures single-image latency and batched throughput for every
+deployable model (CNN, RNN, the three privacy dCNNs, and the full
+ensemble), comparing the default path (``fast``: the compiled plans of
+the default backend) against the reference forward
+(``repro.nn.reference_mode``, which runs the literal eval-mode layer
+forward).  A second section replays
 concurrent drives through the serving stack with ``--workers 0``
 (in-process) vs. ``--workers 4`` (persistent shared-memory workers) to
 measure the parallel executor.
@@ -17,7 +18,7 @@ Runs two ways:
       PYTHONPATH=src python benchmarks/bench_inference.py --quick
 
   which writes ``BENCH_inference.json`` and exits non-zero if a gate
-  fails.  Gates: the ensemble fast path must clear ``ENSEMBLE_FLOOR``
+  fails.  Gates: the ensemble's default path must clear ``ENSEMBLE_FLOOR``
   (2x) at batch 32 — 1.2x in ``--quick`` smoke mode — and the 4-worker
   replay must clear ``PARALLEL_FLOOR`` (1.5x) *when the host has at
   least two cores*; on a single-core host that gate is recorded as a
@@ -91,7 +92,7 @@ def _best_seconds(fn, *, repeats: int = 3) -> float:
 
 
 def _fast_vs_reference(fn, *, repeats: int = 3) -> tuple[float, float]:
-    """(fast_seconds, reference_seconds) for one forward callable."""
+    """(default-path seconds, reference seconds) for one forward callable."""
     from repro.nn import reference_mode
 
     fast = _best_seconds(fn, repeats=repeats)
@@ -301,7 +302,7 @@ def gates_pass(report: dict) -> bool:
 # -- pytest entry points -----------------------------------------------------
 
 def test_inference_fast_path_speedup(benchmark):
-    """The ensemble fast path clears its floor at batch 32."""
+    """The ensemble's default path clears its floor at batch 32."""
     from benchmarks.conftest import write_report
 
     report = benchmark.pedantic(lambda: run_all(quick=True),

@@ -331,6 +331,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.nn.compile.backends import DEFAULT_BACKEND
     from repro.serving import replay_concurrent_drives
 
     if not args.replay:
@@ -342,10 +343,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     ensemble = _model_for_scenario(args, scenario)
     drivers = scenario.drivers if scenario is not None else args.drivers
     duration = scenario.duration if scenario is not None else args.duration
+    backend = args.backend or DEFAULT_BACKEND
     print(f"Replaying {drivers} concurrent scripted drives "
           f"({duration:.0f} s, micro-batch {args.max_batch or 'auto'}, "
           f"deadline {args.deadline_ms:.0f} ms, {args.workers} worker(s), "
-          f"backend {args.backend}, "
+          f"backend {backend}, "
           f"{args.kill_camera} camera(s) killed mid-replay)...")
     from repro.nn.runtime import profiled_layers
 
@@ -354,7 +356,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ensemble, drivers=args.drivers, duration=args.duration,
             max_batch=args.max_batch, max_delay=args.deadline_ms / 1e3,
             kill_camera=args.kill_camera, seed=args.seed,
-            workers=args.workers, backend=args.backend,
+            workers=args.workers, backend=backend,
             scenario=scenario)
     print()
     print(report.format_report())
@@ -571,11 +573,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "batches over shared-memory rings (0 runs "
                             "in-process; any N delivers the identical "
                             "verdict sequence)")
-    serve.add_argument("--backend", default="numpy-fast",
-                       help="inference backend: numpy-fast (interpreted), "
-                            "numpy-compiled (fused execution plans, "
-                            "bit-exact), or numpy-compiled-int8 "
-                            "(quantized weights, lossy)")
+    serve.add_argument("--backend", default=None,
+                       help="inference backend: numpy-compiled (fused "
+                            "float32 execution plans, the default) or "
+                            "numpy-compiled-int8 (quantized weights, "
+                            "lossy)")
     serve.add_argument("--train-samples", type=int, default=120)
     serve.add_argument("--train-epochs", type=int, default=1)
     serve.add_argument("--seed", type=int, default=0)

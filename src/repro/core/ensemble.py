@@ -140,9 +140,6 @@ class DarNetEnsemble:
         self.imu_model = None
         if architecture == "cnn+rnn":
             self.imu_model = ImuSequenceRNN(rnn_config, rng=self.rng)
-            # One scratch arena serves both members: layer-name-prefixed
-            # tags keep their buffers apart, and shared shapes coalesce.
-            self.imu_model.model.workspace = self.cnn.model.workspace
         elif architecture == "cnn+svm":
             self.imu_model = SvmImuClassifier(rng=self.rng)
         # Combiner dimensions follow the member heads, so an extended

@@ -41,7 +41,7 @@ from repro.nn.metrics import (
     precision_recall_f1,
     top_k_accuracy,
 )
-from repro.nn.runtime import Workspace, fast_path_enabled, reference_mode
+from repro.nn.runtime import in_reference_mode, reference_mode
 from repro.nn.compile import (
     backend_names,
     compile_network,
@@ -53,7 +53,7 @@ from repro.nn.serialization import copy_weights, load_weights, save_weights
 __all__ = [
     "Layer", "Parameter", "assert_float32", "Dense", "Conv2D", "MaxPool2D",
     "AvgPool2D",
-    "Workspace", "fast_path_enabled", "reference_mode",
+    "in_reference_mode", "reference_mode",
     "backend_names", "compile_network", "set_default_backend",
     "using_backend",
     "GlobalAvgPool2D", "ReLU", "LeakyReLU", "Sigmoid", "Tanh", "Softmax",

@@ -5,10 +5,10 @@ quantization contract.
 """
 
 from repro.nn.compile.backends import (
+    DEFAULT_BACKEND,
     InferenceBackend,
     NumpyCompiledBackend,
     NumpyCompiledInt8Backend,
-    NumpyFastBackend,
     active_backend,
     active_backend_name,
     backend_names,
@@ -23,10 +23,10 @@ from repro.nn.compile.quantize import PlanWeight
 
 __all__ = [
     "CompiledNetwork",
+    "DEFAULT_BACKEND",
     "InferenceBackend",
     "NumpyCompiledBackend",
     "NumpyCompiledInt8Backend",
-    "NumpyFastBackend",
     "PlanWeight",
     "UnsupportedLayerError",
     "active_backend",

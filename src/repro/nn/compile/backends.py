@@ -2,14 +2,12 @@
 
 A backend decides *how* eval-mode batched inference executes:
 
-``numpy-fast``
-    The interpreted workspace-reuse fast path (the previous default) —
-    layer-by-layer dispatch with scratch-buffer reuse.
-``numpy-compiled``
+``numpy-compiled`` (the default)
     Graph-compiled execution plans (:mod:`repro.nn.compile.extract`):
     fused epilogues, preplanned arena offsets, stacked LSTM GEMMs.
-    Bitwise identical to ``numpy-fast`` for float32 models; falls back
-    to it per model when a layer has no compiled lowering.
+    Within float32 rounding of the reference layer forward; a model
+    with a layer that has no compiled lowering runs its eval-mode layer
+    forward instead.
 ``numpy-compiled-int8``
     Compiled plans with int8-at-rest GEMM weights — lossy by contract,
     gated on verdict-class agreement (the dCNN privacy ladder already
@@ -37,28 +35,19 @@ class InferenceBackend:
 
     #: Registry key and the ``--backend`` CLI value.
     name = "backend"
-    #: Whether models should ask this backend for execution plans.
-    compiles = False
     #: Whether compiled plans quantize GEMM weights to int8.
     quantize = False
 
     def compile_model(self, network, input_shape
                       ) -> CompiledNetwork | None:
-        """A compiled plan for ``network``, or None to use the fast path."""
+        """A compiled plan for ``network``, or None to run the layers."""
         return None
-
-
-class NumpyFastBackend(InferenceBackend):
-    """The interpreted workspace-reuse fast path."""
-
-    name = "numpy-fast"
 
 
 class NumpyCompiledBackend(InferenceBackend):
     """Graph-compiled float32 execution plans."""
 
     name = "numpy-compiled"
-    compiles = True
 
     def compile_model(self, network, input_shape
                       ) -> CompiledNetwork | None:
@@ -66,8 +55,9 @@ class NumpyCompiledBackend(InferenceBackend):
             return compile_network(network, input_shape,
                                    quantize=self.quantize)
         except UnsupportedLayerError:
-            # Uncompilable models degrade to the interpreted fast path;
-            # the caller caches the miss so this runs once per shape.
+            # Uncompilable models degrade to the eval-mode layer
+            # forward; the caller caches the miss so this runs once per
+            # shape.
             return None
 
 
@@ -102,11 +92,13 @@ def backend_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
-register_backend(NumpyFastBackend())
 register_backend(NumpyCompiledBackend())
 register_backend(NumpyCompiledInt8Backend())
 
-_DEFAULT = "numpy-fast"
+#: The backend every thread, registry and executor uses unless told
+#: otherwise.
+DEFAULT_BACKEND = NumpyCompiledBackend.name
+_DEFAULT = DEFAULT_BACKEND
 _LOCAL = threading.local()
 
 

@@ -15,7 +15,7 @@
   aliases, never ops.
 
 Layers without a lowering raise :class:`UnsupportedLayerError`; backends
-treat that as "this model stays on the interpreted fast path".
+treat that as "this model runs its eval-mode layer forward".
 """
 
 from __future__ import annotations

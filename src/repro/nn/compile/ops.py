@@ -1,14 +1,14 @@
 """Fused op implementations for compiled execution plans.
 
-Every op here mirrors the arithmetic of the interpreted fast path
-*exactly* — same GEMM shapes or bit-stable restructurings (column-
-concatenated kernels, batched 3-D matmuls, strided output views), same
-elementwise expression order — so a float32 plan's outputs are bitwise
-identical to the layer-by-layer fast path.  What changes is everything
-around the arithmetic: outputs land in preplanned arena views instead of
-fresh allocations, batch-norm + ReLU run as an in-place epilogue on the
-GEMM output instead of two extra array passes, and per-step LSTM views
-are presliced at bind time instead of per call.
+Every op computes what its source layers' eval-mode forward computes,
+within float32 rounding: batch-norm folds to one per-channel scale and
+shift, convolutions run as batched NCHW GEMMs, and pooling slides over
+kernel taps instead of unfolding columns.  The op arithmetic is
+deterministic, so the golden replay fixtures pin it bit for bit.  Around
+the arithmetic, outputs land in preplanned arena views instead of fresh
+allocations, batch-norm + ReLU run as an in-place epilogue on the GEMM
+output instead of two extra array passes, and per-step LSTM views are
+presliced at bind time instead of per call.
 """
 
 from __future__ import annotations
@@ -464,11 +464,10 @@ class BiLstmOp(PlanOp):
     Both directions' input projections run as a single ``(n*t, 2*4h)``
     GEMM against the column-concatenated kernels, and each timestep's
     gate matmul runs both directions at once as a ``(2, n, h) @
-    (2, h, 4h)`` batched matmul.  The elementwise gate math follows the
-    interpreted fast path expression for expression (one sigmoid pass
-    over the whole gate block, tanh overwriting the cell-gate columns),
-    so float32 results are bitwise identical while the Python-level step
-    loop runs once instead of twice.
+    (2, h, 4h)`` batched matmul.  The elementwise gate math is one
+    sigmoid pass over the whole gate block with tanh overwriting the
+    cell-gate columns, and the Python-level step loop runs once instead
+    of twice.
     """
 
     kind = "bilstm"
@@ -499,10 +498,9 @@ class BiLstmOp(PlanOp):
         get_in = rt.reader(self.in_ref)
         w_x, w_h, bias = self.w_x_cat, self.w_h_stack, self.bias_cat
         # Per-step projection/output views, presliced once.  Forward reads
-        # step s, backward reads step t-1-s (its input arrives reversed in
-        # the interpreted path); with return_sequences the backward hidden
-        # for input index t-1-s is written straight to that index, which
-        # is exactly the interpreter's collect-then-re-reverse result.
+        # step s, backward reads step t-1-s; with return_sequences the
+        # backward hidden for input index t-1-s is written straight to
+        # that index, which is the layer's collect-then-re-reverse result.
         p_fwd = [proj3[:, s, :four_h] for s in range(t)]
         p_bwd = [proj3[:, t - 1 - s, four_h:] for s in range(t)]
         out = rt.view(self.out_ref)

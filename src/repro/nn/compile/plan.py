@@ -8,10 +8,8 @@ once in per-sample float32 elements and simply scale by ``n`` at bind
 time: two slots disjoint per sample are disjoint for every batch size.
 
 Offsets come from a liveness-driven first-fit allocator, so slots whose
-lifetimes do not overlap share arena memory (the compiled analogue of
-the interpreter's :class:`~repro.nn.runtime.workspace.Workspace`, minus
-the per-call ``(tag, shape, dtype)`` dict lookups — steady state, a plan
-run performs **zero** buffer lookups; every op holds its views).
+lifetimes do not overlap share arena memory.  Steady state, a plan run
+performs **zero** buffer lookups; every op holds its views.
 
 Binding a batch size allocates one arena, slices every slot's view, and
 asks each op to close over its concrete arrays.  Bound plans are cached
@@ -36,8 +34,8 @@ BOUND_CACHE_SIZE = 8
 class UnsupportedLayerError(ReproError):
     """The graph compiler met a layer it has no lowering for.
 
-    Backends catch this and fall back to the interpreted fast path — an
-    uncompilable model must degrade, never crash serving.
+    Backends catch this and the model falls back to its eval-mode layer
+    forward — an uncompilable model must degrade, never crash serving.
     """
 
 

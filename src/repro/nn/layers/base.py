@@ -15,6 +15,8 @@ Conventions
   ``backward`` before ``forward`` raises :class:`ReproError`.
 * ``backward`` accumulates into ``Parameter.grad`` (callers zero grads via
   the optimizer) and returns the gradient w.r.t. the layer input.
+* A layer's ``_``-prefixed attributes hold its backward caches and
+  nothing else, so :meth:`Layer.release_caches` can drop them all.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from typing import Iterator
 import numpy as np
 
 from repro.exceptions import ReproError
-from repro.nn.runtime.mode import fast_path_enabled
-from repro.nn.runtime.workspace import Workspace
 
 
 class Parameter:
@@ -68,7 +68,6 @@ class Layer:
     def __init__(self, name: str | None = None) -> None:
         self.name = name or type(self).__name__
         self.training = True
-        self._workspace: Workspace | None = None
 
     # -- computation ------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -115,28 +114,18 @@ class Layer:
         """Total number of scalar parameters in this layer tree."""
         return sum(int(np.prod(p.shape)) for p in self.parameters())
 
-    # -- inference fast path ----------------------------------------------
-    def set_workspace(self, workspace: Workspace | None) -> None:
-        """Attach a scratch arena to this layer tree (None detaches)."""
-        self._workspace = workspace
-        for child in self.children():
-            child.set_workspace(workspace)
+    def release_caches(self) -> None:
+        """Drop every backward cache in this layer tree.
 
-    def _fast_inference(self) -> bool:
-        """Whether this forward call may skip backward caches."""
-        return not self.training and fast_path_enabled()
-
-    def scratch(self, role: str, shape: tuple[int, ...],
-                dtype: np.dtype | type = np.float32) -> np.ndarray:
-        """An uninitialized scratch buffer, reused across forward calls.
-
-        Falls back to a fresh ``np.empty`` when no workspace is attached,
-        so fast-path code never needs to branch on arena presence.  The
-        buffer must not escape the current ``forward`` call.
+        Resets each ``_``-prefixed attribute to None, the state a freshly
+        built layer is in.  A trained model would otherwise keep its last
+        mini-batch's activations alive (and every ``deepcopy`` of it).
         """
-        if self._workspace is None:
-            return np.empty(shape, dtype=dtype)
-        return self._workspace.buffer(f"{self.name}.{role}", shape, dtype)
+        for name in vars(self):
+            if name.startswith("_"):
+                setattr(self, name, None)
+        for child in self.children():
+            child.release_caches()
 
     # -- helpers -----------------------------------------------------------
     def _require_cache(self, cache: object, what: str = "input"):

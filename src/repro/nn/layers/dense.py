@@ -43,12 +43,6 @@ class Dense(Layer):
             raise ShapeError(
                 f"{self.name}: expected (batch, {self.in_features}), got {x.shape}"
             )
-        if self._fast_inference():
-            self._x = None
-            out = x @ self.weight.value
-            if self.bias is not None:
-                out += self.bias.value  # in place: the GEMM output is fresh
-            return out
         self._x = x
         out = x @ self.weight.value
         if self.bias is not None:

@@ -6,12 +6,7 @@ import numpy as np
 
 from repro.exceptions import ShapeError
 from repro.nn.layers.base import Layer, as_float32
-from repro.nn.layers.conv import (
-    col2im,
-    conv_output_size,
-    im2col,
-    resolve_padding,
-)
+from repro.nn.layers.conv import col2im, im2col, resolve_padding
 
 
 def _pair(value: int | tuple[int, int]) -> tuple[int, int]:
@@ -56,24 +51,6 @@ class _Pool2D(Layer):
         oh, ow = self._out_hw
         return values.reshape(n, c, oh, ow)
 
-    # -- inference fast path ---------------------------------------------
-    def _out_size(self, x: np.ndarray) -> tuple[int, int]:
-        return (conv_output_size(x.shape[2], self.pool_size[0],
-                                 self.stride[0], self.padding[0]),
-                conv_output_size(x.shape[3], self.pool_size[1],
-                                 self.stride[1], self.padding[1]))
-
-    def _padded_source(self, x: np.ndarray) -> np.ndarray:
-        """The zero-padded input, in scratch when padding is active."""
-        ph, pw = self.padding
-        if not (ph or pw):
-            return x
-        n, c, h, w = x.shape
-        padded = self.scratch("pad", (n, c, h + 2 * ph, w + 2 * pw))
-        padded.fill(0.0)
-        padded[:, :, ph:ph + h, pw:pw + w] = x
-        return padded
-
 
 class MaxPool2D(_Pool2D):
     """Max pooling; default stride equals pool size (non-overlapping)."""
@@ -89,34 +66,9 @@ class MaxPool2D(_Pool2D):
         x = as_float32(x)
         if x.ndim != 4:
             raise ShapeError(f"{self.name}: expected NCHW input, got {x.shape}")
-        if self._fast_inference():
-            return self._forward_inference(x)
         cols = self._unfold(x)
         self._argmax = cols.argmax(axis=1)
         return self._to_nchw(cols.max(axis=1))
-
-    def _forward_inference(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode max pool: no argmax bookkeeping, no column copy.
-
-        Sliding maximum over the (zero-padded) input — one np.maximum per
-        kernel tap instead of a full im2col copy, and far faster than a
-        tiled multi-axis reduce, whose strided access pattern defeats the
-        cache.
-        """
-        self._argmax = None
-        oh, ow = self._out_size(x)
-        src = self._padded_source(x)
-        sh, sw = self.stride
-        acc = self.scratch("acc", (x.shape[0], x.shape[1], oh, ow))
-        acc[...] = src[:, :, 0:sh * oh:sh, 0:sw * ow:sw]
-        kh, kw = self.pool_size
-        for i in range(kh):
-            for j in range(kw):
-                if i == 0 and j == 0:
-                    continue
-                np.maximum(acc, src[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw],
-                           out=acc)
-        return acc.copy()
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         argmax = self._require_cache(self._argmax)
@@ -134,23 +86,8 @@ class AvgPool2D(_Pool2D):
         x = as_float32(x)
         if x.ndim != 4:
             raise ShapeError(f"{self.name}: expected NCHW input, got {x.shape}")
-        if self._fast_inference():
-            return self._forward_inference(x)
         cols = self._unfold(x)
         return self._to_nchw(cols.mean(axis=1))
-
-    def _forward_inference(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode average pool: sliding accumulation, no column copy."""
-        oh, ow = self._out_size(x)
-        kh, kw = self.pool_size
-        src = self._padded_source(x)
-        sh, sw = self.stride
-        acc = self.scratch("acc", (x.shape[0], x.shape[1], oh, ow))
-        acc.fill(0.0)
-        for i in range(kh):
-            for j in range(kw):
-                acc += src[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
-        return acc * np.float32(1.0 / (kh * kw))
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         self._require_cache(self._x_shape, "shape")
@@ -171,8 +108,7 @@ class GlobalAvgPool2D(Layer):
         x = as_float32(x)
         if x.ndim != 4:
             raise ShapeError(f"{self.name}: expected NCHW input, got {x.shape}")
-        if not self._fast_inference():
-            self._x_shape = x.shape
+        self._x_shape = x.shape
         return x.mean(axis=(2, 3))
 
     def backward(self, grad: np.ndarray) -> np.ndarray:

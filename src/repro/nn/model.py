@@ -19,8 +19,7 @@ from repro.nn.layers.base import Layer
 from repro.nn.losses import Loss, SoftmaxCrossEntropy
 from repro.nn.metrics import accuracy
 from repro.nn.optimizers import LearningRateSchedule, Optimizer
-from repro.nn.runtime.mode import fast_path_enabled
-from repro.nn.runtime.workspace import Workspace
+from repro.nn.runtime.mode import in_reference_mode
 
 
 @dataclass
@@ -70,7 +69,6 @@ class NeuralNetwork:
         self.optimizer = optimizer_factory(list(network.parameters()))
         self.grad_clip = grad_clip
         self.history = TrainingHistory()
-        self.workspace = Workspace()
         self._fitted = False
         # Compiled execution plans, keyed by (backend name, input shape).
         # A None value caches a compile miss (unsupported layer) so the
@@ -154,12 +152,14 @@ class NeuralNetwork:
                 print(msg)
         self._fitted = True
         self.network.set_training(False)
+        # The last step's activations and masks would otherwise outlive
+        # training: inference runs compiled plans that never read them.
+        self.network.release_caches()
         self.invalidate_plans()
         return self.history
 
     def _validate(self, x_val: np.ndarray, y_val: np.ndarray
                   ) -> tuple[float, float | None]:
-        self.network.set_training(False)
         out = self.forward_in_batches(x_val)
         val_loss = self.loss.forward(out, y_val)
         val_acc = None
@@ -172,12 +172,12 @@ class NeuralNetwork:
                            batch_size: int = 128) -> np.ndarray:
         """Run inference in memory-bounded batches, eval mode.
 
-        Eval-mode layers take the workspace fast path: scratch buffers are
-        reused across the chunks (every full chunk shares one arena entry;
-        a ragged tail gets its own), and no backward caches are built.
+        Chunks run through the active backend's compiled plan for this
+        input shape.  Without one (reference mode, or a layer the
+        compiler cannot lower) the eval-mode layer forward runs instead,
+        and its backward caches are dropped afterwards.
         """
         x = np.asarray(x, dtype=np.float32)
-        self.network.set_training(False)
         plan = self._compiled_plan(x.shape[1:])
         if plan is not None:
             chunks = [
@@ -185,12 +185,12 @@ class NeuralNetwork:
                 for start in range(0, x.shape[0], batch_size)
             ]
         else:
-            self.network.set_workspace(self.workspace)
+            self.network.set_training(False)
             chunks = [
                 self.network.forward(x[start:start + batch_size])
                 for start in range(0, x.shape[0], batch_size)
             ]
-            self.workspace.publish_metrics()
+            self.network.release_caches()
         if len(chunks) == 1:
             return chunks[0]
         return np.concatenate(chunks, axis=0)
@@ -198,17 +198,14 @@ class NeuralNetwork:
     def _compiled_plan(self, input_shape: tuple[int, ...]):
         """The active backend's plan for this input shape, if any.
 
-        Returns None when the active backend is the interpreted fast
-        path, when the fast path itself is disabled (reference mode needs
-        the literal layer-by-layer arithmetic), or when compilation found
-        an unsupported layer (the miss is cached per shape).
+        Returns None in reference mode (it needs the literal
+        layer-by-layer arithmetic) and when compilation found an
+        unsupported layer (the miss is cached per shape).
         """
-        if not fast_path_enabled():
+        if in_reference_mode():
             return None
         from repro.nn.compile.backends import active_backend
         backend = active_backend()
-        if not backend.compiles:
-            return None
         key = (backend.name, tuple(input_shape))
         if key not in self._plans:
             self._plans[key] = backend.compile_model(self.network,

@@ -79,8 +79,6 @@ class LSTM(Layer):
         """
         if self.reverse:
             x = x[:, ::-1, :]
-        if self._fast_inference():
-            return self._forward_inference(x)
         n, t, _ = x.shape
         h = self.hidden_size
         # Precompute all input projections in one GEMM.
@@ -122,45 +120,6 @@ class LSTM(Layer):
                 out = out[:, ::-1, :]
             return np.ascontiguousarray(out)
         return hiddens[-1].copy()
-
-    def _forward_inference(self, x: np.ndarray) -> np.ndarray:
-        """Cache-free recurrence: same gate math, no BPTT bookkeeping.
-
-        The training loop stores nine ``(t, n, h)`` tensors for backward;
-        here only the escaping output is kept.  The gate math itself is
-        deliberately allocating, not in-place: per-step arrays are tiny
-        (n x h), so allocation is cheap, while in-place ufuncs on strided
-        gate *slices* fall off numpy's contiguous fast loops and measure
-        ~2x slower at small hidden sizes.  The ``[i, f, g, o]`` gate
-        layout lets one sigmoid call cover the adjacent input and forget
-        gates.  ``x`` arrives already time-reversed when ``self.reverse``.
-        """
-        n, t, _ = x.shape
-        h = self.hidden_size
-        self._cache = None
-        proj = self.scratch("proj", (n * t, 4 * h))
-        np.matmul(x.reshape(n * t, -1), self.w_x.value, out=proj)
-        proj += self.bias.value
-        proj3 = proj.reshape(n, t, 4 * h)
-        h_prev = np.zeros((n, h), dtype=np.float32)
-        c_prev = np.zeros((n, h), dtype=np.float32)
-        hiddens = (np.empty((t, n, h), dtype=np.float32)
-                   if self.return_sequences else None)
-        for step in range(t):
-            z = proj3[:, step, :] + h_prev @ self.w_h.value
-            if_g = _sigmoid(z[:, 0 * h:2 * h])
-            g_g = np.tanh(z[:, 2 * h:3 * h])
-            o_g = _sigmoid(z[:, 3 * h:4 * h])
-            c_prev = if_g[:, h:] * c_prev + if_g[:, :h] * g_g
-            h_prev = o_g * np.tanh(c_prev)
-            if hiddens is not None:
-                hiddens[step] = h_prev
-        if self.return_sequences:
-            out = hiddens.transpose(1, 0, 2)
-            if self.reverse:
-                out = out[:, ::-1, :]
-            return np.ascontiguousarray(out)
-        return h_prev.copy()
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         cache = self._require_cache(self._cache)

@@ -1,14 +1,13 @@
-"""Inference-time execution runtime: scratch arenas and path selection."""
+"""Inference-time runtime switches: reference mode and layer profiling."""
 
-from repro.nn.runtime.mode import fast_path_enabled, reference_mode
+from repro.nn.runtime.mode import in_reference_mode, reference_mode
 from repro.nn.runtime.profiling import (
     layer_profiling_interval,
     profiled_layers,
     set_layer_profiling,
 )
-from repro.nn.runtime.workspace import Workspace
 
 __all__ = [
-    "Workspace", "fast_path_enabled", "reference_mode",
+    "in_reference_mode", "reference_mode",
     "layer_profiling_interval", "profiled_layers", "set_layer_profiling",
 ]

@@ -1,19 +1,16 @@
-"""Switch for the inference fast path — thread-local, global fallback.
+"""Reference-mode switch — thread-local.
 
-Layers take the fast path when they are in eval mode (``set_training
-(False)``) *and* the fast path is enabled.  The switch exists for exactly
-two callers: the parity tests and the benchmark harness, both of which
-need to run the reference (training-style) forward on an eval-mode model
-for comparison.  Everything else should leave it alone — the fast path
-is numerically interchangeable with the reference path (same GEMMs, same
-reductions, ordering differences only at float32 rounding level).
+Eval-mode inference runs the active backend's compiled plan
+(:mod:`repro.nn.compile`).  :func:`reference_mode` makes
+:meth:`~repro.nn.model.NeuralNetwork.forward_in_batches` skip the plan
+and run the literal eval-mode layer forward instead.  The switch exists
+for the parity tests, the benchmark harness and the benchmark's output
+checks, all of which compare the compiled path against the layer
+arithmetic it replaces.
 
-The switch is **thread-local with the process global as fallback**: a
-benchmark thread inside :func:`reference_mode` must not silently drop
-concurrent serving threads onto the reference path.  A thread that has
-never touched the switch reads the process-wide default (which forked
-executor workers inherit); :func:`reference_mode` only ever overrides the
-calling thread.
+The switch is **thread-local**: a benchmark thread inside
+:func:`reference_mode` must not silently drop concurrent serving threads
+onto the reference path.
 """
 
 from __future__ import annotations
@@ -21,38 +18,22 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 
-_FAST_PATH = True          # process-wide default (fallback)
-_LOCAL = threading.local()  # per-thread override, set only by reference_mode
+_LOCAL = threading.local()
 
 
-def fast_path_enabled() -> bool:
-    """Whether eval-mode layers may use workspace/in-place execution.
-
-    Reads the calling thread's override when one is active, else the
-    process-wide default.
-    """
-    return getattr(_LOCAL, "value", _FAST_PATH)
-
-
-def set_default_fast_path(enabled: bool) -> None:
-    """Set the process-wide default (threads without an override see it)."""
-    global _FAST_PATH
-    _FAST_PATH = bool(enabled)
+def in_reference_mode() -> bool:
+    """Whether the calling thread is inside :func:`reference_mode`."""
+    return getattr(_LOCAL, "active", False)
 
 
 @contextmanager
 def reference_mode():
-    """Temporarily force the reference forward path **on this thread**.
-
-    Nesting restores the outer state; other threads are unaffected.
-    """
-    had_override = hasattr(_LOCAL, "value")
-    saved = getattr(_LOCAL, "value", None)
-    _LOCAL.value = False
+    """Run the eval-mode layer forward instead of compiled plans **on
+    this thread**.  Nesting restores the outer state; other threads are
+    unaffected."""
+    saved = in_reference_mode()
+    _LOCAL.active = True
     try:
         yield
     finally:
-        if had_override:
-            _LOCAL.value = saved
-        else:
-            del _LOCAL.value
+        _LOCAL.active = saved

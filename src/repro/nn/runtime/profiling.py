@@ -1,17 +1,15 @@
 """Sampled per-layer forward timing.
 
-Timing every layer of every forward pass would tax the hot path the
-serving tier spent PR 4 stripping down, so profiling is a *sampling*
-switch: enabled with a period ``N``, every Nth :class:`~.sequential.
+Timing every layer of every forward pass would tax the serving hot
+path, so profiling is a *sampling* switch: enabled with a period ``N``, every Nth :class:`~.sequential.
 Sequential` forward pass is timed layer by layer and the durations land
 in the process registry as ``nn_layer_forward_seconds{layer=...}``
 histograms.  Disabled (the default), the cost is one integer check per
 container forward.
 
-The switch is process-global, like :mod:`repro.nn.runtime.mode`: the
-forward pass is single-threaded per process, and forked executor workers
-inherit the setting while their samples drain back to the parent through
-the fork-aware registry.
+The switch is process-global: the forward pass is single-threaded per
+process, and forked executor workers inherit the setting while their
+samples drain back to the parent through the fork-aware registry.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 One registry holds every runtime signal the pipeline emits — reliability
 counters from the streaming transport, queue/batch telemetry from the
-serving tier, workspace and layer timings from the nn runtime — so a
+serving tier, sampled layer timings from the nn runtime — so a
 single snapshot answers "what is this process doing" without chasing
 per-module stat structs.
 

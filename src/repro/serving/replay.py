@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.darnet import DriveScript
 from repro.exceptions import ConfigurationError
+from repro.nn.compile.backends import DEFAULT_BACKEND
 from repro.scenarios.compiler import (
     DriverTrace,
     compile_scenario,
@@ -104,7 +105,7 @@ class ReplayReport:
         return "\n".join(lines)
 
 
-def _as_registry(model, backend: str = "numpy-fast") -> ServingModelRegistry:
+def _as_registry(model, backend: str) -> ServingModelRegistry:
     if isinstance(model, ServingModelRegistry):
         return model
     registry = ServingModelRegistry(backend=backend)
@@ -125,7 +126,7 @@ def replay_concurrent_drives(model, *, drivers: int = 8,
                              script: DriveScript | None = None,
                              scenario: ScenarioSpec | None = None,
                              workers: int = 0,
-                             backend: str = "numpy-fast",
+                             backend: str = DEFAULT_BACKEND,
                              observability: bool = True) -> ReplayReport:
     """Replay ``drivers`` concurrent scripted drives through a server.
 
@@ -157,8 +158,7 @@ def replay_concurrent_drives(model, *, drivers: int = 8,
             N >= 1 shards batches across N long-lived workers and
             delivers the same verdict sequence).
         backend: inference backend for dispatch when ``model`` is a bare
-            model (a pre-built registry keeps its own backend config);
-            ``numpy-compiled`` is bit-exact with the default fast path.
+            model (a pre-built registry keeps its own backend config).
         observability: stage histograms and request tracing; disable for
             the overhead benchmark's baseline measurement.
     """

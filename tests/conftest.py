@@ -10,10 +10,10 @@ import pytest
 def _fresh_metrics_registry():
     """Give every test an empty process-default metrics registry.
 
-    Instrumented modules (transport, health, workspace…) record into the
-    process registry as a side effect; without this reset, counts would
-    leak across tests and exact-value assertions would depend on
-    execution order.
+    Instrumented modules (transport, health, layer profiling…) record
+    into the process registry as a side effect; without this reset,
+    counts would leak across tests and exact-value assertions would
+    depend on execution order.
     """
     from repro.obs.metrics import reset_registry
 

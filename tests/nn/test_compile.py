@@ -1,11 +1,11 @@
 """Graph-compiled inference: plan structure, parity, backends, profiling.
 
-The compiled backend's contract is strict: float32 plans are *bitwise*
-identical to the interpreted fast path (same kernels, same operand
-order), within ``ATOL`` of the reference path, and uncompilable models
-degrade to the fast path silently.  These tests pin each clause plus the
-plan-cache/invalidation and thread-locality rules the serving tier
-relies on.
+The compiled backend's contract: a model's default inference path (the
+fast path) runs exactly its compiled float32 plan, bit for bit; plans
+stay within ``ATOL`` of the reference layer forward; and uncompilable
+models fall back to that reference forward silently.  These tests pin
+each clause plus the plan-cache/invalidation and thread-locality rules
+the serving tier relies on.
 """
 
 from __future__ import annotations
@@ -26,12 +26,13 @@ from repro.nn import (
     Sequential,
     backend_names,
     compile_network,
-    fast_path_enabled,
+    in_reference_mode,
     reference_mode,
     set_default_backend,
     using_backend,
 )
 from repro.nn.compile import (
+    DEFAULT_BACKEND,
     NumpyCompiledBackend,
     PlanWeight,
     UnsupportedLayerError,
@@ -51,6 +52,12 @@ RNN_SHAPE = (20, 12)
 def _images(n: int, shape=CNN_SHAPE, seed: int = 99) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n,) + shape).astype(np.float32)
+
+
+def _fitted(net) -> NeuralNetwork:
+    model = NeuralNetwork(net, optimizer_factory=lambda p: Adam(p))
+    model.mark_fitted()
+    return model
 
 
 @pytest.fixture(scope="module")
@@ -101,10 +108,8 @@ def test_cnn_plan_bitwise_matches_fast_path(cnn, cnn_plan, n):
     x = _images(n)
     out = cnn_plan.run(x)
     assert out.dtype == np.float32
-    np.testing.assert_array_equal(out, cnn.forward(x))
-    with reference_mode():
-        reference = cnn.forward(x)
-    np.testing.assert_allclose(out, reference, atol=ATOL, rtol=0)
+    np.testing.assert_array_equal(out, _fitted(cnn).predict_logits(x))
+    np.testing.assert_allclose(out, cnn.forward(x), atol=ATOL, rtol=0)
 
 
 @pytest.mark.parametrize("n", [1, 7, 32])
@@ -112,21 +117,27 @@ def test_rnn_plan_bitwise_matches_fast_path(rnn, n):
     plan = compile_network(rnn, RNN_SHAPE)
     x = _images(n, RNN_SHAPE)
     out = plan.run(x)
-    np.testing.assert_array_equal(out, rnn.forward(x))
-    with reference_mode():
-        reference = rnn.forward(x)
-    np.testing.assert_allclose(out, reference, atol=ATOL, rtol=0)
+    np.testing.assert_array_equal(out, _fitted(rnn).predict_logits(x))
+    np.testing.assert_allclose(out, rnn.forward(x), atol=ATOL, rtol=0)
 
 
 @pytest.mark.parametrize("padding", ["valid", "same"])
 def test_stride1_avgpool_flat_kernel_bitwise(padding):
     # Stride-1 average pooling takes the flat-shift contiguous-tap
-    # kernel; both the padded and unpadded variants must stay bit-exact.
+    # kernel; padded and unpadded, it must add the same operands in the
+    # same order as a plain strided loop over the kernel taps.
     net = Sequential([AvgPool2D(3, stride=1, padding=padding)])
-    net.set_training(False)
     plan = compile_network(net, (2, 9, 9))
     x = _images(4, (2, 9, 9))
-    np.testing.assert_array_equal(plan.run(x), net.forward(x))
+    pad = 1 if padding == "same" else 0
+    src = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out_hw = src.shape[2] - 2
+    taps = np.zeros((4, 2, out_hw, out_hw), dtype=np.float32)
+    for i in range(3):
+        for j in range(3):
+            taps += src[:, :, i:i + out_hw, j:j + out_hw]
+    np.testing.assert_array_equal(plan.run(x), taps * np.float32(1 / 9))
+    np.testing.assert_allclose(plan.run(x), net.forward(x), atol=ATOL)
 
 
 def test_int8_weight_roundtrip_error_is_per_channel_bounded():
@@ -151,8 +162,8 @@ def test_int8_plan_runs_and_stays_finite(cnn):
 # -- backend registry and fallback --------------------------------------
 
 def test_backend_registry_api():
-    assert {"numpy-fast", "numpy-compiled",
-            "numpy-compiled-int8"} <= set(backend_names())
+    assert {"numpy-compiled", "numpy-compiled-int8"} <= set(backend_names())
+    assert DEFAULT_BACKEND == "numpy-compiled"
     with pytest.raises(ConfigurationError):
         get_backend("no-such-backend")
     with pytest.raises(ConfigurationError):
@@ -160,13 +171,13 @@ def test_backend_registry_api():
     with pytest.raises(ConfigurationError):
         with using_backend("no-such-backend"):
             pass  # pragma: no cover - must raise before entering
-    assert active_backend_name() == "numpy-fast"
-    with using_backend("numpy-compiled"):
-        assert active_backend_name() == "numpy-compiled"
-        with using_backend("numpy-fast"):
-            assert active_backend_name() == "numpy-fast"
-        assert active_backend_name() == "numpy-compiled"
-    assert active_backend_name() == "numpy-fast"
+    assert active_backend_name() == DEFAULT_BACKEND
+    with using_backend("numpy-compiled-int8"):
+        assert active_backend_name() == "numpy-compiled-int8"
+        with using_backend("numpy-compiled"):
+            assert active_backend_name() == "numpy-compiled"
+        assert active_backend_name() == "numpy-compiled-int8"
+    assert active_backend_name() == DEFAULT_BACKEND
 
 
 def test_unsupported_layer_degrades_to_fast_path():
@@ -176,11 +187,11 @@ def test_unsupported_layer_degrades_to_fast_path():
     with pytest.raises(UnsupportedLayerError):
         compile_network(net, RNN_SHAPE)
     assert NumpyCompiledBackend().compile_model(net, RNN_SHAPE) is None
-    model = NeuralNetwork(net, optimizer_factory=lambda p: Adam(p))
-    model.mark_fitted()
+    model = _fitted(net)
     x = _images(6, RNN_SHAPE)
     fast = model.predict_logits(x)
-    with using_backend("numpy-compiled"):
+    assert model._plans == {(DEFAULT_BACKEND, RNN_SHAPE): None}
+    with reference_mode():
         np.testing.assert_array_equal(model.predict_logits(x), fast)
 
 
@@ -189,9 +200,7 @@ def test_unsupported_layer_degrades_to_fast_path():
 @pytest.fixture(scope="module")
 def cnn_model():
     net = build_micro_inception(5, width=0.5, rng=np.random.default_rng(6))
-    model = NeuralNetwork(net, optimizer_factory=lambda p: Adam(p))
-    model.mark_fitted()
-    return model
+    return _fitted(net)
 
 
 def test_model_predicts_identically_under_compiled_backend(cnn_model):
@@ -202,6 +211,9 @@ def test_model_predicts_identically_under_compiled_backend(cnn_model):
         compiled = cnn_model.predict_logits(x)
     np.testing.assert_array_equal(compiled, fast)
     assert ("numpy-compiled", CNN_SHAPE) in cnn_model._plans
+    with reference_mode():
+        reference = cnn_model.predict_logits(x)
+    np.testing.assert_allclose(compiled, reference, atol=ATOL, rtol=0)
 
 
 def test_pickling_drops_compiled_plans(cnn_model):
@@ -242,22 +254,22 @@ def test_reference_mode_is_thread_local():
 
     def hold() -> None:
         with reference_mode():
-            seen["inside"] = fast_path_enabled()
+            seen["inside"] = in_reference_mode()
             entered.set()
             release.wait(5.0)
-        seen["after"] = fast_path_enabled()
+        seen["after"] = in_reference_mode()
 
     worker = threading.Thread(target=hold)
     worker.start()
     assert entered.wait(5.0)
     try:
         # The override lives in the worker's thread-local slot only.
-        assert fast_path_enabled()
+        assert not in_reference_mode()
     finally:
         release.set()
         worker.join(5.0)
-    assert seen["inside"] is False
-    assert seen["after"] is True
+    assert seen["inside"] is True
+    assert seen["after"] is False
 
 
 def test_using_backend_is_thread_local():
@@ -266,7 +278,7 @@ def test_using_backend_is_thread_local():
     seen: dict[str, str] = {}
 
     def hold() -> None:
-        with using_backend("numpy-compiled"):
+        with using_backend("numpy-compiled-int8"):
             seen["inside"] = active_backend_name()
             entered.set()
             release.wait(5.0)
@@ -275,8 +287,8 @@ def test_using_backend_is_thread_local():
     worker.start()
     assert entered.wait(5.0)
     try:
-        assert active_backend_name() == "numpy-fast"
+        assert active_backend_name() == DEFAULT_BACKEND
     finally:
         release.set()
         worker.join(5.0)
-    assert seen["inside"] == "numpy-compiled"
+    assert seen["inside"] == "numpy-compiled-int8"

@@ -1,9 +1,10 @@
-"""Inference fast path: parity with the reference forward, workspace reuse.
+"""Inference fast path: parity with the reference forward.
 
-Every layer with a ``_forward_inference`` branch must produce the same
-output (atol 1e-5) as the reference path — the training-style forward
-that ``repro.nn.reference_mode`` forces — on eval-mode layers, and the
-workspace arena must actually reuse its scratch buffers across calls.
+The fast path is the default inference path: ``NeuralNetwork`` runs the
+active backend's compiled plan, or the eval-mode layer forward when the
+compiler has no lowering for a layer.  Every layer and composite must
+produce the same output (atol 1e-5) through it as through the reference
+path that ``repro.nn.reference_mode`` forces.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.nn import (
     GlobalAvgPool2D,
     LeakyReLU,
     MaxPool2D,
+    NeuralNetwork,
     ParallelBranches,
     ReLU,
     Reshape,
@@ -34,26 +36,28 @@ from repro.nn import (
     Sigmoid,
     Softmax,
     Tanh,
-    Workspace,
     assert_float32,
-    fast_path_enabled,
+    in_reference_mode,
     reference_mode,
 )
 
 ATOL = 1e-5
 
 
-def _fast_and_reference(layer, x):
-    """(fast, reference) outputs of an eval-mode layer on ``x``."""
-    layer.set_training(False)
-    fast = layer.forward(x)
+def _model(layer) -> NeuralNetwork:
+    """An inference-only wrapper (no optimizer: it never trains)."""
+    return NeuralNetwork(layer, optimizer_factory=lambda params: None)
+
+
+def _check_parity(layer, x, *, compiles=True):
+    """Default-path output of ``layer`` on ``x``, checked against the
+    reference forward; ``compiles`` says whether a plan must exist."""
+    model = _model(layer)
+    fast = model.forward_in_batches(x)
     with reference_mode():
-        reference = layer.forward(x)
-    return fast, reference
-
-
-def _check_parity(layer, x):
-    fast, reference = _fast_and_reference(layer, x)
+        reference = model.forward_in_batches(x)
+    plans = list(model._plans.values())
+    assert plans and (plans[0] is not None) == compiles
     np.testing.assert_allclose(fast, reference, atol=ATOL)
     assert fast.dtype == np.float32
     assert fast.flags["C_CONTIGUOUS"]
@@ -94,7 +98,8 @@ def test_pointwise_layers_match_reference(rng, cls):
         layer.forward(x.astype(np.float32))  # accumulate running stats
     else:
         layer, x = cls(), rng.standard_normal((8, 13))
-    _check_parity(layer, x.astype(np.float32))
+    _check_parity(layer, x.astype(np.float32),
+                  compiles=cls in (GlobalAvgPool2D, Dense, BatchNorm, ReLU))
 
 
 @pytest.mark.parametrize("cls", [LSTM, GRU, BidirectionalLSTM,
@@ -103,28 +108,28 @@ def test_pointwise_layers_match_reference(rng, cls):
 def test_recurrent_fast_path_matches_reference(rng, cls, return_sequences):
     layer = cls(12, 8, return_sequences=return_sequences, rng=rng)
     x = rng.standard_normal((5, 9, 12)).astype(np.float32)
-    _check_parity(layer, x)
+    _check_parity(layer, x, compiles=cls is BidirectionalLSTM)
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.3, 0.9])
 def test_dropout_eval_is_identity_on_both_paths(rng, rate):
     layer = Dropout(rate, rng=rng)
     x = rng.standard_normal((6, 9)).astype(np.float32)
-    out = _check_parity(layer, x)
+    out = _check_parity(layer, x, compiles=False)
     np.testing.assert_array_equal(out, x)
 
 
 def test_flatten_fast_path_matches_reference(rng):
     layer = Flatten()
     x = rng.standard_normal((4, 3, 5, 5)).astype(np.float32)
-    out = _check_parity(layer, x)
+    out = _check_parity(layer, x, compiles=False)
     assert out.shape == (4, 75)
 
 
 def test_reshape_fast_path_matches_reference(rng):
     layer = Reshape((3, 25))
     x = rng.standard_normal((4, 75)).astype(np.float32)
-    out = _check_parity(layer, x)
+    out = _check_parity(layer, x, compiles=False)
     assert out.shape == (4, 3, 25)
 
 
@@ -141,7 +146,7 @@ def test_parallel_branches_fast_path_matches_reference(rng):
 def test_residual_fast_path_matches_reference(rng):
     layer = Residual(Sequential([Dense(10, 10, rng=rng), Tanh()]))
     x = rng.standard_normal((5, 10)).astype(np.float32)
-    _check_parity(layer, x)
+    _check_parity(layer, x, compiles=False)
 
 
 def test_sequential_composite_fast_path_matches_reference(rng):
@@ -158,53 +163,32 @@ def test_sequential_composite_fast_path_matches_reference(rng):
     x = rng.standard_normal((3, 1, 8, 8)).astype(np.float32)
     model.set_training(True)
     model.forward(x)  # accumulate BatchNorm running stats
-    _check_parity(model, x)
+    # The Softmax head has no lowering, so the whole model runs its layer
+    # forward; without the head the same stack compiles to one plan.
+    _check_parity(model, x, compiles=False)
+    _check_parity(Sequential(model.layers[:-1]), x)
 
 
 def test_fast_path_skips_backward_caches(rng):
-    layer = Conv2D(2, 3, 3, rng=rng)
+    """Inference leaves no backward caches on the layers, whether it runs
+    a compiled plan (ReLU head) or the layer forward (Tanh head)."""
     x = rng.standard_normal((2, 2, 8, 8)).astype(np.float32)
-    layer.set_training(True)
-    layer.forward(x)
-    assert layer._cols is not None
-    layer.set_training(False)
-    layer.forward(x)
-    assert layer._cols is None
-
-
-def test_workspace_buffers_are_reused(rng):
-    workspace = Workspace()
-    layer = Conv2D(3, 4, 3, rng=rng)
-    layer.set_workspace(workspace)
-    layer.set_training(False)
-    x = rng.standard_normal((2, 3, 10, 10)).astype(np.float32)
-    first = layer.forward(x)
-    buffers_after_first = len(workspace)
-    buffer = workspace.buffer(f"{layer.name}.cols", (2, 27, 100), np.float32)
-    second = layer.forward(x)
-    assert len(workspace) == buffers_after_first  # no new allocations
-    assert workspace.buffer(f"{layer.name}.cols", (2, 27, 100),
-                            np.float32) is buffer
-    np.testing.assert_array_equal(first, second)
-    assert workspace.nbytes > 0
-    workspace.clear()
-    assert len(workspace) == 0
-
-
-def test_workspace_pickles_empty(rng):
-    import pickle
-
-    workspace = Workspace()
-    workspace.buffer("scratch", (4, 4), np.float32)
-    restored = pickle.loads(pickle.dumps(workspace))
-    assert len(restored) == 0  # buffers are dropped, not shipped
+    for head in (ReLU(), Tanh()):
+        conv = Conv2D(2, 3, 3, rng=rng)
+        _model(Sequential([conv, head, Flatten()])).forward_in_batches(x)
+        assert conv._cols is None
+        assert getattr(head, "_mask", None) is None
+        assert getattr(head, "_out", None) is None
 
 
 def test_reference_mode_restores_fast_path():
-    assert fast_path_enabled()
+    assert not in_reference_mode()
     with reference_mode():
-        assert not fast_path_enabled()
-    assert fast_path_enabled()
+        assert in_reference_mode()
+        with reference_mode():
+            assert in_reference_mode()
+        assert in_reference_mode()
+    assert not in_reference_mode()
 
 
 def test_assert_float32_rejects_float64():

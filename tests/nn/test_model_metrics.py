@@ -1,5 +1,6 @@
 """NeuralNetwork training wrapper, metrics, serialization."""
 
+import copy
 import os
 
 import numpy as np
@@ -15,7 +16,12 @@ from repro.exceptions import (
 )
 from repro.nn import (
     Adam,
+    BatchNorm,
+    BidirectionalLSTM,
+    Conv2D,
     Dense,
+    Flatten,
+    MaxPool2D,
     MSELoss,
     NeuralNetwork,
     ReLU,
@@ -105,6 +111,68 @@ def test_batched_inference_matches_single_batch(rng):
     full = model.forward_in_batches(x, batch_size=50)
     chunked = model.forward_in_batches(x, batch_size=7)
     np.testing.assert_allclose(full, chunked, atol=1e-5)
+
+
+def _array_bytes(obj, seen=None) -> int:
+    """Bytes of every distinct ndarray reachable from ``obj``."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        items = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        items = obj
+    elif hasattr(obj, "__dict__"):
+        items = vars(obj).values()
+    else:
+        return 0
+    return sum(_array_bytes(item, seen) for item in items)
+
+
+def _layer_tree(layer):
+    yield layer
+    for child in layer.children():
+        yield from _layer_tree(child)
+
+
+def _fitted_cnn_and_rnn(rng):
+    """A conv/BN/ReLU/pool/dense model and a BiLSTM model, each fitted."""
+    cnn = NeuralNetwork(
+        Sequential([Conv2D(1, 4, 3, rng=rng), BatchNorm(4), ReLU(),
+                    MaxPool2D(2), Flatten(), Dense(64, 3, rng=rng)]),
+        optimizer_factory=lambda p: Adam(p))
+    rnn = NeuralNetwork(
+        Sequential([BidirectionalLSTM(3, 5, rng=rng), Dense(10, 3, rng=rng)]),
+        optimizer_factory=lambda p: Adam(p))
+    y = rng.integers(0, 3, 24)
+    cnn.fit(rng.normal(size=(24, 1, 8, 8)), y, epochs=1, batch_size=8,
+            rng=rng)
+    rnn.fit(rng.normal(size=(24, 6, 3)), y, epochs=1, batch_size=8, rng=rng)
+    return cnn, rnn
+
+
+def test_fit_releases_backward_caches(rng):
+    for model in _fitted_cnn_and_rnn(rng):
+        for layer in _layer_tree(model.network):
+            for name, value in vars(layer).items():
+                if name.startswith("_"):
+                    assert _array_bytes(value) == 0, f"{layer.name}.{name}"
+
+
+def test_deepcopy_of_fitted_model_holds_only_weights(rng):
+    """A copy of a fitted network carries parameters (values and grads)
+    and batch-norm statistics, never a training batch's activations."""
+    for model in _fitted_cnn_and_rnn(rng):
+        network = model.network
+        weights = sum(p.value.nbytes + p.grad.nbytes
+                      for p in network.parameters())
+        stats = sum(layer.running_mean.nbytes + layer.running_var.nbytes
+                    for layer in _layer_tree(network)
+                    if isinstance(layer, BatchNorm))
+        assert _array_bytes(copy.deepcopy(network)) <= weights + stats
 
 
 def test_target_transform_regression(rng):

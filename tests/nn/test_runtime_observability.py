@@ -1,21 +1,18 @@
-"""nn runtime telemetry: sampled layer profiling, workspace counters."""
+"""nn runtime telemetry: sampled layer profiling."""
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.nn import Dense, ReLU, Sequential, Workspace
+from repro.nn import Dense, ReLU, Sequential
 from repro.nn.runtime import (
     layer_profiling_interval,
     profiled_layers,
     set_layer_profiling,
 )
 from repro.nn.runtime.profiling import layer_timer, should_sample
-from repro.obs.metrics import get_registry
 
 
 @pytest.fixture(autouse=True)
@@ -105,50 +102,3 @@ class TestSequentialProfiling:
     def test_layer_timer_is_one_series_per_layer(self):
         assert layer_timer("conv1") is layer_timer("conv1")
         assert layer_timer("conv1") is not layer_timer("conv2")
-
-
-class TestWorkspaceCounters:
-    def test_buffer_counts_hits_and_misses(self):
-        workspace = Workspace()
-        workspace.buffer("cols", (2, 3))
-        assert (workspace.hits, workspace.misses) == (0, 1)
-        workspace.buffer("cols", (2, 3))
-        workspace.buffer("cols", (2, 3))
-        assert (workspace.hits, workspace.misses) == (2, 1)
-        workspace.buffer("cols", (4, 3))  # new shape -> new buffer
-        assert (workspace.hits, workspace.misses) == (2, 2)
-
-    def test_zeros_counts_like_buffer(self):
-        workspace = Workspace()
-        workspace.zeros("state", (2, 2))
-        workspace.zeros("state", (2, 2))
-        assert (workspace.hits, workspace.misses) == (1, 1)
-
-    def test_publish_metrics_flushes_deltas_once(self):
-        workspace = Workspace()
-        workspace.buffer("a", (2,))
-        workspace.buffer("a", (2,))
-        workspace.publish_metrics()
-        registry = get_registry()
-        assert registry.counter("nn_workspace_hits_total").value == 1
-        assert registry.counter("nn_workspace_misses_total").value == 1
-        workspace.publish_metrics()  # no new activity: no double count
-        assert registry.counter("nn_workspace_hits_total").value == 1
-        workspace.buffer("a", (2,))
-        workspace.publish_metrics()
-        assert registry.counter("nn_workspace_hits_total").value == 2
-
-    def test_publish_without_activity_creates_no_series(self):
-        Workspace().publish_metrics()
-        assert len(get_registry()) == 0
-
-    def test_pickled_workspace_resets_counters(self):
-        workspace = Workspace()
-        workspace.buffer("a", (2,))
-        workspace.publish_metrics()
-        restored = pickle.loads(pickle.dumps(workspace))
-        assert (restored.hits, restored.misses) == (0, 0)
-        restored.buffer("a", (2,))
-        restored.publish_metrics()  # fresh delta, not a replay
-        assert get_registry().counter(
-            "nn_workspace_misses_total").value == 2

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.ensemble import DegradedPrediction
 from repro.exceptions import ConfigurationError
-from repro.nn.compile import active_backend_name
+from repro.nn.compile import DEFAULT_BACKEND, active_backend_name
 from repro.serving import InferenceServer, ServingModelRegistry
 
 
@@ -75,7 +75,7 @@ def test_dispatch_runs_each_variant_under_its_pinned_backend():
     assert _verdict_for(server, 0, None, 0.0)
     assert _verdict_for(server, 1, "high", 10.0)
 
-    assert float_model.backends_seen == ["numpy-fast"]
+    assert float_model.backends_seen == [DEFAULT_BACKEND]
     assert quant_model.backends_seen == ["numpy-compiled-int8"]
     # The thread-local selection must not linger after dispatch.
-    assert active_backend_name() == "numpy-fast"
+    assert active_backend_name() == DEFAULT_BACKEND

@@ -124,17 +124,28 @@ def test_workers_report_shard_and_ring_telemetry(serving_ensemble,
 
 def test_worker_metrics_drain_back_to_parent(serving_ensemble,
                                              tiny_driving_dataset):
-    """Telemetry recorded inside the forked workers (workspace reuse,
-    backend counters) rides the response meta and merges into the
-    parent registry — the fork doesn't black-hole observability."""
+    """Telemetry recorded inside the forked workers (sampled per-layer
+    forward timings) rides the response meta and merges into the parent
+    registry — the fork doesn't black-hole observability."""
+    from repro.nn.runtime import profiled_layers, set_layer_profiling
     from repro.obs.metrics import get_registry
+
+    def layer_samples() -> int:
+        return sum(metric.count for metric in get_registry().metrics()
+                   if metric.name == "nn_layer_forward_seconds")
 
     images = tiny_driving_dataset.images[:10]
     windows = tiny_driving_dataset.imu[:10]
-    with ParallelExecutor(serving_ensemble, workers=2) as executor:
-        executor.predict_degraded(images=images, imu=windows)
-    misses = get_registry().get("nn_workspace_misses_total")
-    assert misses is not None and misses.value > 0
+    with profiled_layers(1):
+        with ParallelExecutor(serving_ensemble, workers=2) as executor:
+            # The first flush forks the workers, which inherit sampling.
+            executor.predict_degraded(images=images, imu=windows)
+            # The parent stops sampling: new samples can only be the
+            # workers', drained back with their responses.
+            set_layer_profiling(0)
+            before = layer_samples()
+            executor.predict_degraded(images=images, imu=windows)
+            assert layer_samples() > before
 
 
 def test_single_sample_batch_round_trips(serving_ensemble,

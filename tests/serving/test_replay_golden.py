@@ -3,8 +3,8 @@
 A seeded :func:`replay_concurrent_drives` over the package ensemble must
 deliver byte-for-byte the same ``(session_id, sequence, predicted,
 degraded)`` sequence as the committed fixture — any change to stream
-synthesis, session bookkeeping, scheduling order, or the inference fast
-path that shifts a single verdict shows up here.
+synthesis, session bookkeeping, scheduling order, or the compiled
+inference plans that shifts a single verdict shows up here.
 
 Regenerate deliberately after an intended behaviour change with::
 
@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.nn.compile import DEFAULT_BACKEND
 from repro.serving import replay_concurrent_drives
 
 GOLDEN_PATH = Path(__file__).parent.parent / "fixtures" / \
@@ -27,20 +28,18 @@ GOLDEN_PATH = Path(__file__).parent.parent / "fixtures" / \
 
 REPLAY_ARGS = dict(drivers=2, duration=3.0, kill_camera=1, seed=11)
 
+#: Lossless backends: each must reproduce the committed fixture exactly.
+FLOAT_BACKENDS = ["numpy-compiled"]
+
 
 @pytest.mark.slow
-@pytest.mark.parametrize("backend", ["numpy-fast", "numpy-compiled"])
+@pytest.mark.parametrize("backend", FLOAT_BACKENDS)
 def test_replay_matches_golden_verdict_sequence(serving_ensemble, backend):
-    """Every float backend must reproduce the one committed sequence.
-
-    ``numpy-compiled`` shares this fixture with the default fast path on
-    purpose: compiled plans are bit-exact by contract, so a single
-    verdict of drift under either backend fails the same assertion.
-    """
+    """Every float backend must reproduce the one committed sequence."""
     report = replay_concurrent_drives(serving_ensemble, backend=backend,
                                       **REPLAY_ARGS)
     if os.environ.get("REGEN_GOLDEN"):
-        if backend != "numpy-fast":
+        if backend != DEFAULT_BACKEND:
             pytest.skip("fixture regenerates under the default backend only")
         GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN_PATH.write_text(json.dumps(

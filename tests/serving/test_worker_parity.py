@@ -2,8 +2,8 @@
 
 Two layers of proof.  The golden-fixture tests pin the *absolute*
 delivered sequence: a replay through N persistent workers must match the
-committed ``replay_golden_verdicts.json`` byte for byte, under the fast
-path and the compiled backend alike.  The invariance tests pin the
+committed ``replay_golden_verdicts.json`` byte for byte, under every
+float backend.  The invariance tests pin the
 *relative* claim: for any worker count — including mixed privacy levels
 routing sessions to different model variants, each with its own
 executor — the verdict stream is identical to the in-process one.
@@ -31,7 +31,7 @@ REPLAY_ARGS = dict(drivers=2, duration=3.0, kill_camera=1, seed=11)
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("backend", ["numpy-fast", "numpy-compiled"])
+@pytest.mark.parametrize("backend", ["numpy-compiled"])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_worker_replay_matches_golden_fixture(serving_ensemble, workers,
                                               backend):
