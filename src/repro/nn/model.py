@@ -222,8 +222,9 @@ class NeuralNetwork:
         self._plans.clear()
 
     def __getstate__(self) -> dict:
-        # Plans hold weight snapshots and bound arenas — recompiled
-        # lazily after unpickling (e.g. in forked executor workers).
+        # Plans hold weight snapshots and bound arenas; a copy (the
+        # ``copy.deepcopy`` made per privacy variant) must recompile
+        # lazily against its own weights, not inherit the original's.
         state = self.__dict__.copy()
         state["_plans"] = {}
         return state

@@ -7,9 +7,8 @@ in the process registry as ``nn_layer_forward_seconds{layer=...}``
 histograms.  Disabled (the default), the cost is one integer check per
 container forward.
 
-The switch is process-global: the forward pass is single-threaded per
-process, and forked executor workers inherit the setting while their
-samples drain back to the parent through the fork-aware registry.
+The switch is process-global: serving runs every forward pass in the
+calling process, so one switch covers the whole serving path.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Lock-safe, fork-aware metrics primitives.
+"""Lock-safe metrics primitives.
 
 One registry holds every runtime signal the pipeline emits — reliability
 counters from the streaming transport, queue/batch telemetry from the
@@ -13,26 +13,23 @@ Three instrument kinds, deliberately Prometheus-shaped:
 * :class:`Histogram` — fixed-bucket distribution with streaming
   count/sum/min/max and interpolated quantile estimates (p50/p95/p99 of
   stage latencies).  Fixed buckets keep ``observe`` O(log buckets) and
-  make merged histograms exact, which the fork-merge path relies on.
+  make merged histograms exact.
 
 Concurrency model: the registry guards its name table with one lock and
 every instrument guards its own values with another, so writers on many
 threads never corrupt a snapshot and a snapshot never observes a
 half-applied histogram update.
 
-Fork model: :func:`get_registry` is pid-checked — the first access in a
-forked worker gets a *fresh* registry rather than the parent's inherited
-copy, so worker recordings are clean deltas.  Workers report via
-:meth:`MetricsRegistry.drain` and parents fold results back in with
-:meth:`MetricsRegistry.merge`; merge adds counters and histograms and
-takes the max of gauges, all associative, so any merge order yields the
-same totals.
+Merge model: :meth:`MetricsRegistry.merge` folds one registry's
+snapshot into another (a server's private registry plus the process
+default make one export); merge adds counters and histograms and takes
+the max of gauges, all associative, so any merge order yields the same
+totals.
 """
 
 from __future__ import annotations
 
 import bisect
-import os
 import threading
 
 from repro.exceptions import ConfigurationError
@@ -45,14 +42,6 @@ LATENCY_BUCKETS = (
 
 #: Buckets for small-integer distributions (batch sizes, queue depths).
 COUNT_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
-
-#: Microsecond-scale buckets for shared-memory handoff latencies — a ring
-#: publish-to-pickup hop is orders of magnitude below LATENCY_BUCKETS'
-#: floor, so it needs its own resolution to be visible at all.
-HANDOFF_BUCKETS = (
-    0.000001, 0.0000025, 0.000005, 0.00001, 0.000025, 0.00005,
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.05, 0.1,
-)
 
 _LabelItems = tuple[tuple[str, str], ...]
 
@@ -89,10 +78,6 @@ class Counter:
     def _state(self) -> dict:
         with self._lock:
             return {"value": self._value}
-
-    def _reset(self) -> None:
-        with self._lock:
-            self._value = 0.0
 
     def _merge(self, state: dict) -> None:
         with self._lock:
@@ -137,12 +122,8 @@ class Gauge:
         with self._lock:
             return {"value": self._value}
 
-    def _reset(self) -> None:
-        with self._lock:
-            self._value = 0.0
-
     def _merge(self, state: dict) -> None:
-        # max is associative and commutative, which keeps fork-merge
+        # max is associative and commutative, which keeps merge
         # order-independent; sum would double peaks, last-wins would race.
         with self._lock:
             self._value = max(self._value, state["value"])
@@ -256,14 +237,6 @@ class Histogram:
                 "max": self._max if self._count else None,
             }
 
-    def _reset(self) -> None:
-        with self._lock:
-            self._counts = [0] * (len(self.buckets) + 1)
-            self._count = 0
-            self._sum = 0.0
-            self._min = float("inf")
-            self._max = float("-inf")
-
     def _merge(self, state: dict) -> None:
         if list(state["buckets"]) != list(self.buckets):
             raise ConfigurationError(
@@ -344,24 +317,12 @@ class MetricsRegistry:
             entries.append(entry)
         return {"metrics": entries}
 
-    def drain(self) -> dict:
-        """Snapshot, then zero every instrument (worker delta reporting).
-
-        Values recorded between the snapshot and the reset of one
-        instrument are lost; drain is meant for single-threaded worker
-        processes reporting between batches, where no such window exists.
-        """
-        snap = self.snapshot()
-        for metric in self.metrics():
-            metric._reset()
-        return snap
-
     def merge(self, snapshot: dict) -> None:
-        """Fold a snapshot (usually a worker's drain) into this registry.
+        """Fold another registry's snapshot into this registry.
 
         Counters and histograms add; gauges take the max.  Unknown
-        instruments are created on the fly, so a parent can merge from a
-        worker that registered metrics the parent never touched.
+        instruments are created on the fly, so a registry can merge
+        metrics it never registered itself.
         """
         for entry in snapshot.get("metrics", []):
             kind, labels = entry["kind"], entry.get("labels", {})
@@ -380,7 +341,7 @@ class MetricsRegistry:
             metric._merge(entry)
 
     def reset(self) -> None:
-        """Drop every instrument (test isolation, fork refresh)."""
+        """Drop every instrument (test isolation)."""
         with self._lock:
             self._metrics.clear()
 
@@ -388,30 +349,21 @@ class MetricsRegistry:
 # -- process-default registry -------------------------------------------------
 
 _DEFAULT: MetricsRegistry | None = None
-_DEFAULT_PID: int | None = None
 _DEFAULT_LOCK = threading.Lock()
 
 
 def get_registry() -> MetricsRegistry:
-    """The process-default registry; fresh after a fork.
-
-    The pid check makes forked executor workers start from an empty
-    registry instead of the parent's inherited copy, so their
-    :meth:`~MetricsRegistry.drain` reports are true deltas.
-    """
-    global _DEFAULT, _DEFAULT_PID
-    pid = os.getpid()
-    if _DEFAULT is None or _DEFAULT_PID != pid:
+    """The process-default registry, created on first use."""
+    global _DEFAULT
+    if _DEFAULT is None:
         with _DEFAULT_LOCK:
-            if _DEFAULT is None or _DEFAULT_PID != pid:
+            if _DEFAULT is None:
                 _DEFAULT = MetricsRegistry()
-                _DEFAULT_PID = pid
     return _DEFAULT
 
 
 def reset_registry() -> None:
     """Replace the process-default registry with an empty one."""
-    global _DEFAULT, _DEFAULT_PID
+    global _DEFAULT
     with _DEFAULT_LOCK:
         _DEFAULT = MetricsRegistry()
-        _DEFAULT_PID = os.getpid()

@@ -14,17 +14,19 @@ session migration; a durable verdict journal (append-only, CRC-framed,
 fsync-batched) plus a store-and-forward sink guarantee every admitted
 (driver, window) is delivered exactly once or journaled as deferred; and
 a serving chaos harness proves all of it under scripted shard kills,
-executor hangs, sink blackholes and full disks.
+hung shards, sink blackholes and full disks.
+
+Every shard serves in the calling process: a flushed micro-batch runs
+its forward pass in place, so parallelism, where a deployment needs it,
+comes from partitioning drivers across shards rather than splitting a
+batch's rows.
 """
 
 from repro.exceptions import (
     JournalError,
-    RingError,
     ServingError,
     ShardTimeoutError,
     ShardUnavailableError,
-    TornSlotError,
-    WorkerCrashError,
 )
 from repro.serving.admission import (
     AdmissionController,
@@ -43,11 +45,6 @@ from repro.serving.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.serving.executor import (
-    ExecutorTicket,
-    ParallelExecutor,
-    default_worker_count,
-)
 from repro.serving.journal import (
     JournalReplay,
     StoreAndForwardSink,
@@ -56,7 +53,6 @@ from repro.serving.journal import (
     replay_journal,
 )
 from repro.serving.registry import ModelRecord, ServingModelRegistry
-from repro.serving.ring import ClaimedSlot, PoppedSlot, SlotRing
 from repro.serving.replay import (
     DriverTrace,
     ReplayReport,
@@ -90,7 +86,7 @@ from repro.serving.supervisor import (
 
 __all__ = [
     "ServingError", "ShardUnavailableError", "ShardTimeoutError",
-    "JournalError", "RingError", "TornSlotError", "WorkerCrashError",
+    "JournalError",
     "DriverSession", "SessionCounters", "StreamState", "IMU_FEATURES",
     "ALERT_ADJACENT_BOOST", "DEGRADED_BOOST",
     "InferenceRequest", "MicroBatch", "MicroBatchScheduler",
@@ -98,8 +94,6 @@ __all__ = [
     "ServingModelRegistry", "ModelRecord",
     "AdmissionController", "AdmissionDecision", "AdmissionStats",
     "InferenceServer", "ServerStats", "ServingVerdict",
-    "ParallelExecutor", "ExecutorTicket", "default_worker_count",
-    "SlotRing", "ClaimedSlot", "PoppedSlot",
     "ReplayReport", "DriverTrace", "replay_concurrent_drives",
     "synthesize_trace",
     "VerdictJournal", "VerdictRecord", "JournalReplay", "replay_journal",

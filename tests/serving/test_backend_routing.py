@@ -3,8 +3,10 @@
 The registry owns one backend default plus per-variant overrides, and
 the server's dispatch loop must execute each variant under its pinned
 backend (the selection is thread-local, so it cannot leak between
-variants or sessions).  These tests use a recording stub model so the
-routing is observable without a trained ensemble.
+variants or sessions).  Most tests use a recording stub model so the
+routing is observable without a trained ensemble; the last sends
+sessions at mixed privacy levels through the real ensemble in one
+server.
 """
 
 from __future__ import annotations
@@ -79,3 +81,38 @@ def test_dispatch_runs_each_variant_under_its_pinned_backend():
     assert quant_model.backends_seen == ["numpy-compiled-int8"]
     # The thread-local selection must not linger after dispatch.
     assert active_backend_name() == DEFAULT_BACKEND
+
+
+def test_mixed_privacy_levels_route_through_one_server(
+        serving_ensemble, tiny_driving_dataset):
+    """Sessions at None/"medium"/"high" share one server and one step.
+
+    Two registered variants (the same trained weights under two names)
+    bound to different privacy rungs: every session gets exactly one
+    verdict, from the variant its privacy level routes to.
+    """
+    registry = ServingModelRegistry()
+    registry.register("full", serving_ensemble)
+    registry.register("med", serving_ensemble)
+    registry.bind(None, "full")
+    registry.bind("medium", "med")
+    server = InferenceServer(registry, max_batch=8)
+    levels = [None, "medium", "high", None, "medium", "high"]
+    sids = [server.open_session(d, privacy=level)
+            for d, level in enumerate(levels)]
+    dataset = tiny_driving_dataset
+    for k in range(4):
+        now = 0.25 * k
+        for index, sid in enumerate(sids):
+            window = dataset.imu[index]
+            server.ingest_imu(sid, now, window[k % window.shape[0]])
+            server.ingest_frame(sid, now, dataset.images[index])
+    for sid in sids:
+        assert server.request_verdict(sid, now)
+    delivered = server.drain(now)
+
+    assert len(delivered) == 6
+    assert {verdict.model_key for verdict in delivered} == {"full", "med"}
+    routes = dict(zip(sids, levels))
+    for verdict in delivered:
+        assert verdict.model_key == registry.route(routes[verdict.session_id])

@@ -74,7 +74,6 @@ def test_concurrent_opens_never_exceed_the_cap():
     assert len(admitted) == cap
     assert len(rejected) == 64 - cap
     assert sorted(server.sessions) == sorted(admitted)
-    server.close()
 
 
 def test_concurrent_open_close_churn_accounts_exactly():
@@ -105,7 +104,6 @@ def test_concurrent_open_close_churn_accounts_exactly():
     assert outcomes["opened"] + outcomes["rejected"] == 6 * 40
     assert server.sessions == []  # every admitted session closed
     assert server._outboxes == {}  # no leaked outboxes
-    server.close()
 
 
 def test_duplicate_session_id_race_admits_exactly_one():
@@ -128,7 +126,6 @@ def test_duplicate_session_id_race_admits_exactly_one():
     assert len(wins) == 1
     assert len(losses) == 7
     assert server.sessions == ["contested"]
-    server.close()
 
 
 def test_adoption_races_against_opens_respect_the_cap():
@@ -164,7 +161,6 @@ def test_adoption_races_against_opens_respect_the_cap():
                 + [lambda b=b: opener(b) for b in range(4)])
     assert len(admitted) == cap
     assert sorted(server.sessions) == sorted(admitted)
-    server.close()
 
 
 def test_dispatch_and_poll_race_close_without_keyerror():
@@ -219,7 +215,6 @@ def test_dispatch_and_poll_race_close_without_keyerror():
     assert errors == []
     assert server.sessions == []
     assert server._outboxes == {}
-    server.close()
 
 
 @pytest.mark.slow
@@ -263,4 +258,3 @@ def test_concurrent_ingest_during_churn_keeps_rings_intact():
                          for k in range(total - steps, total)])
     np.testing.assert_array_equal(window, expected)
     assert server.session(stable).counters.imu_samples == total
-    server.close()
