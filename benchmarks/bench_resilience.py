@@ -53,7 +53,7 @@ def run_journal_bench(records: int = 5000,
                       ) -> list[dict]:
     """Append + replay throughput across fsync batching cadences."""
     from repro.obs import MetricsRegistry
-    from repro.serving import VerdictJournal, VerdictRecord
+    from repro.serving import VerdictJournal, VerdictRecord, replay_journal
 
     rows = []
     for fsync_every in fsync_cadences:
@@ -72,8 +72,7 @@ def run_journal_bench(records: int = 5000,
             size = journal.size_bytes
             journal.close()
             started = time.perf_counter()
-            replay = VerdictJournal(path,
-                                    registry=MetricsRegistry()).replay()
+            replay = replay_journal(path)
             replay_seconds = time.perf_counter() - started
             rows.append({
                 "fsync_every": fsync_every,

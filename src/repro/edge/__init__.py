@@ -23,7 +23,6 @@ from repro.edge.spool import (
     KIND_VERDICT,
     EdgeSpool,
     SpoolRecord,
-    SpoolReplay,
     replay_spool,
 )
 from repro.edge.supervisor import SupervisedTask, TaskSupervisor
@@ -47,7 +46,6 @@ __all__ = [
     "ProbeResult",
     "ReleaseManifest",
     "SpoolRecord",
-    "SpoolReplay",
     "SupervisedTask",
     "TaskSupervisor",
     "WINDOW_STEPS",

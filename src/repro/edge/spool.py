@@ -3,9 +3,8 @@
 The edge agent's contract mirrors the serving journal's: a verdict the
 device produced is never *silently* lost — not when the uplink is
 blackholed for a minute, not when the agent process is SIGKILLed
-mid-append.  The spool is the same append-only, CRC-framed,
-fsync-batched WAL idiom as :mod:`repro.serving.journal`, adapted to the
-device side:
+mid-append.  The spool is a record schema and an upload policy over the
+shared write-ahead log (:mod:`repro.wal`) the serving journal also uses:
 
 * every verdict (and every evidence clip) is framed to disk *before* an
   upload is attempted;
@@ -13,30 +12,24 @@ device side:
   acknowledged; on restart only unacknowledged records re-enter the
   upload queue (the controller dedups by record id, so a crashed cursor
   write costs a duplicate upload, never a lost one);
-* :meth:`EdgeSpool.open` replays the WAL on startup, and a torn tail —
-  the frame a SIGKILL interrupted — is detected by its CRC/length and
-  **truncated in place**, so the next append starts on a clean frame
-  boundary instead of corrupting everything after it;
-* recovery also restores :attr:`EdgeSpool.last_sequence`, the highest
-  sequence ever spooled *or* acknowledged, so a restarted agent resumes
-  numbering past its previous incarnation — a reused sequence would be
-  deduplicated downstream, i.e. a verdict silently lost.
+* :meth:`EdgeSpool.open` replays the WAL on startup, truncating a torn
+  tail in place; recovery also restores :attr:`EdgeSpool.last_sequence`,
+  the highest sequence ever spooled *or* acknowledged, so a restarted
+  agent resumes numbering past its previous incarnation — a reused
+  sequence would be deduplicated downstream, i.e. a verdict silently
+  lost.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import struct
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.exceptions import ConfigurationError, SpoolError
 from repro.obs.metrics import MetricsRegistry, get_registry
-
-#: Frame layout: magic(2) | payload_length:u32 LE | crc32(payload):u32 LE.
-MAGIC = b"ES"
-_HEADER = struct.Struct("<2sII")
+from repro.wal import Replay, WriteAheadLog, replay
 
 #: Record kinds the spool carries.
 KIND_VERDICT = "verdict"
@@ -52,6 +45,8 @@ class SpoolRecord:
     dedups on, so a record replayed after a crash or retransmitted over
     a flaky link lands downstream exactly once.
     """
+
+    MAGIC: ClassVar[bytes] = b"ES"
 
     agent_id: str
     sequence: int
@@ -99,60 +94,9 @@ class SpoolRecord:
                    payload=data.get("payload", ""))
 
 
-def frame_spool_record(record: SpoolRecord) -> bytes:
-    """One on-disk frame: header + payload, CRC over the payload."""
-    payload = record.to_payload()
-    return _HEADER.pack(MAGIC, len(payload),
-                        zlib.crc32(payload) & 0xFFFFFFFF) + payload
-
-
-@dataclass
-class SpoolReplay:
-    """What :func:`replay_spool` recovered from a spool file."""
-
-    records: list[SpoolRecord] = field(default_factory=list)
-    duplicates: int = 0
-    torn: int = 0
-    bytes_read: int = 0
-
-
-def replay_spool(path: str) -> SpoolReplay:
-    """Crash-safe replay: parse intact frames, dedup, stop at a torn tail.
-
-    ``bytes_read`` is the offset of the last fully verified frame — the
-    truncation point a recovery pass cuts the file back to.
-    """
-    replay = SpoolReplay()
-    if not os.path.exists(path):
-        return replay
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    seen: set[tuple[str, int]] = set()
-    offset = 0
-    while offset < len(blob):
-        header = blob[offset:offset + _HEADER.size]
-        if len(header) < _HEADER.size:
-            replay.torn += 1
-            break
-        magic, length, crc = _HEADER.unpack(header)
-        payload = blob[offset + _HEADER.size:offset + _HEADER.size + length]
-        if (magic != MAGIC or len(payload) < length
-                or zlib.crc32(payload) & 0xFFFFFFFF != crc):
-            replay.torn += 1
-            break
-        try:
-            record = SpoolRecord.from_payload(payload)
-        except (ValueError, KeyError):
-            replay.torn += 1
-            break
-        offset += _HEADER.size + length
-        replay.bytes_read = offset
-        if record.record_id in seen:
-            replay.duplicates += 1
-            continue
-        seen.add(record.record_id)
-        replay.records.append(record)
-    return replay
+def replay_spool(path: str) -> Replay:
+    """Crash-safe replay of a spool file (see :func:`repro.wal.replay`)."""
+    return replay(path, SpoolRecord)
 
 
 class EdgeSpool:
@@ -175,13 +119,11 @@ class EdgeSpool:
         self.path = str(path)
         self.cursor_path = self.path + ".cursor"
         self.fsync_every = int(fsync_every)
-        self.torn_truncated = 0
         self.appended = 0
         self.acked = 0
         #: Highest sequence ever spooled or acked; seed new sequences
         #: past this so a restart never reuses one.
         self.last_sequence = 0
-        self._since_sync = 0
         self._pending: list[SpoolRecord] = []
         # Sequences are 1-based; ``_acked_through == 0`` means nothing
         # acked yet, and out-of-order acks wait in the extra set until
@@ -197,15 +139,19 @@ class EdgeSpool:
             "edge_spool_appends_total", "Records appended to the spool")
         self._obs_acked = registry.counter(
             "edge_spool_acked_total", "Spooled records acknowledged")
-        self._obs_truncated = registry.counter(
-            "edge_spool_truncated_total",
-            "Torn tail frames truncated during spool recovery")
-        self._recover()
+        self._load_cursor()
         try:
-            self._handle = open(self.path, "ab")
+            self._wal, recovered = WriteAheadLog.open(self.path, SpoolRecord)
         except OSError as error:
             raise SpoolError(
                 f"cannot open spool {path!r}: {error}") from error
+        #: Torn tail frames cut off when this spool was opened.
+        self.torn_truncated = recovered.torn
+        registry.counter(
+            "edge_spool_truncated_total",
+            "Torn tail frames truncated during spool recovery",
+        ).inc(self.torn_truncated)
+        self._recover(recovered)
         self._publish()
 
     @classmethod
@@ -214,18 +160,8 @@ class EdgeSpool:
         return cls(path, **options)
 
     # -- recovery ----------------------------------------------------------
-    def _recover(self) -> None:
-        self._load_cursor()
-        replay = replay_spool(self.path)
-        if replay.torn:
-            # A SIGKILL mid-append left a partial frame; cut the file
-            # back to the last verified frame boundary so appends resume
-            # on clean framing.
-            with open(self.path, "r+b") as handle:
-                handle.truncate(replay.bytes_read)
-            self.torn_truncated = replay.torn
-            self._obs_truncated.inc(replay.torn)
-        for record in replay.records:
+    def _recover(self, recovered: Replay) -> None:
+        for record in recovered.records:
             if not self._is_acked(record.sequence):
                 self._pending.append(record)
         # The cursor can sit above every surviving record (a compacted,
@@ -234,7 +170,7 @@ class EdgeSpool:
         self.last_sequence = max(
             self.last_sequence, self._acked_through,
             max(self._acked_extra, default=0),
-            max((r.sequence for r in replay.records), default=0))
+            max((r.sequence for r in recovered.records), default=0))
 
     def _load_cursor(self) -> None:
         if not os.path.exists(self.cursor_path):
@@ -271,28 +207,23 @@ class EdgeSpool:
         if self._is_acked(record.sequence):
             return
         try:
-            self._handle.write(frame_spool_record(record))
+            self._wal.write(record)
         except OSError as error:
             raise SpoolError(f"spool append failed: {error}") from error
         self.appended += 1
         self.last_sequence = max(self.last_sequence, record.sequence)
         self._obs_appends.inc()
-        self._since_sync += 1
-        if self._since_sync >= self.fsync_every:
+        if self._wal.unsynced >= self.fsync_every:
             self.sync()
         self._pending.append(record)
         self._publish()
 
     def sync(self) -> None:
         """Flush buffered frames and issue the disk barrier."""
-        if self._handle.closed:
-            return
         try:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
+            self._wal.flush()
         except OSError:
             pass  # replay-side CRC detects whatever did not land
-        self._since_sync = 0
 
     # -- upload queue ------------------------------------------------------
     @property
@@ -324,12 +255,7 @@ class EdgeSpool:
     # -- maintenance -------------------------------------------------------
     @property
     def size_bytes(self) -> int:
-        if self._handle.closed:
-            try:
-                return os.path.getsize(self.path)
-            except OSError:
-                return 0
-        return self._handle.tell()
+        return self._wal.size_bytes
 
     def compact(self) -> None:
         """Rewrite the WAL keeping only unacknowledged records.
@@ -338,16 +264,7 @@ class EdgeSpool:
         long drive does not replay megabytes of acked history next boot.
         """
         self.sync()
-        records = list(self._pending)
-        tmp = self.path + ".compact"
-        with open(tmp, "wb") as handle:
-            for record in records:
-                handle.write(frame_spool_record(record))
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._handle.close()
-        os.replace(tmp, self.path)
-        self._handle = open(self.path, "ab")
+        self._wal.rewrite(self._pending)
         # The ack cursor survives compaction untouched: surviving
         # records keep their original (high) sequences, so resetting it
         # would strand every future ack in the extra set forever.
@@ -355,9 +272,9 @@ class EdgeSpool:
         self._publish()
 
     def close(self) -> None:
-        if not self._handle.closed:
+        if not self._wal.closed:
             self.compact()
-            self._handle.close()
+            self._wal.close()
 
     def _publish(self) -> None:
         self._obs_depth.set(len(self._pending))

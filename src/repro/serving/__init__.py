@@ -46,7 +46,6 @@ from repro.serving.checkpoint import (
     save_checkpoint,
 )
 from repro.serving.journal import (
-    JournalReplay,
     StoreAndForwardSink,
     VerdictJournal,
     VerdictRecord,
@@ -96,7 +95,7 @@ __all__ = [
     "InferenceServer", "ServerStats", "ServingVerdict",
     "ReplayReport", "DriverTrace", "replay_concurrent_drives",
     "synthesize_trace",
-    "VerdictJournal", "VerdictRecord", "JournalReplay", "replay_journal",
+    "VerdictJournal", "VerdictRecord", "replay_journal",
     "StoreAndForwardSink",
     "SessionCheckpoint", "CheckpointStore", "save_checkpoint",
     "load_checkpoint",

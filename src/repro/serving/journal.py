@@ -6,16 +6,14 @@ sink is unreachable, not when the serving process itself is SIGKILLed.
 The journal is the durability half of that promise:
 
 * every delivered verdict (and every *deferred* request the degradation
-  ladder could not answer immediately) is appended as a length-prefixed,
-  CRC-framed record before it counts as handled;
+  ladder could not answer immediately) is appended to the shared
+  write-ahead log (:mod:`repro.wal`) before it counts as handled;
 * ``fsync`` is batched (every ``fsync_every`` records) so durability
   costs one disk barrier per batch, not per verdict;
-* :func:`replay_journal` reads a journal back after a crash, *verifying
-  every frame*: a torn tail (the record a SIGKILL interrupted) is
-  detected by its CRC/length and dropped rather than parsed into
-  garbage, and duplicate appends — a retried dispatch journals twice —
-  are deduplicated by ``(session_id, sequence)``, the (driver, window)
-  identity of a verdict;
+* :func:`replay_journal` reads a journal back after a crash, dropping a
+  torn tail and deduplicating retried appends by ``(session_id,
+  sequence)``, the (driver, window) identity of a verdict; opening a
+  journal cuts that torn tail off in place;
 * when the disk itself fails (ENOSPC chaos), appends degrade to an
   in-memory overflow buffer that drains back to disk on recovery, so a
   full disk weakens durability without dropping records.
@@ -30,17 +28,12 @@ double-alerts.
 from __future__ import annotations
 
 import json
-import os
-import struct
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.exceptions import ConfigurationError, JournalError
 from repro.obs.metrics import MetricsRegistry, get_registry
-
-#: Frame layout: magic(2) | payload_length:u32 LE | crc32(payload):u32 LE.
-MAGIC = b"VJ"
-_HEADER = struct.Struct("<2sII")
+from repro.wal import Replay, WriteAheadLog, replay
 
 #: Record kinds the journal carries.
 KIND_VERDICT = "verdict"
@@ -57,6 +50,8 @@ class VerdictRecord:
     deferred record keeps the window accounted for — durable, replayable,
     never silently dropped.
     """
+
+    MAGIC: ClassVar[bytes] = b"VJ"
 
     session_id: str
     sequence: int
@@ -97,69 +92,9 @@ class VerdictRecord:
                    reason=data.get("reason", ""))
 
 
-def frame_record(record: VerdictRecord) -> bytes:
-    """One on-disk frame: header + payload, CRC over the payload."""
-    payload = record.to_payload()
-    return _HEADER.pack(MAGIC, len(payload),
-                        zlib.crc32(payload) & 0xFFFFFFFF) + payload
-
-
-@dataclass
-class JournalReplay:
-    """What :func:`replay_journal` recovered from a journal file."""
-
-    records: list[VerdictRecord] = field(default_factory=list)
-    duplicates: int = 0
-    torn: int = 0
-    bytes_read: int = 0
-
-    @property
-    def ids(self) -> set[tuple[str, int]]:
-        """The deduplicated (driver, window) ids recovered."""
-        return {record.record_id for record in self.records}
-
-
-def replay_journal(path: str) -> JournalReplay:
-    """Crash-safe replay: parse every intact frame, dedup, drop the torn tail.
-
-    A record is accepted only when its magic, length and CRC all verify;
-    the first frame that fails (a partial write from a crash mid-append)
-    ends the replay and is counted in ``torn`` — a torn record is never
-    surfaced as data.  Duplicate (driver, window) ids keep their first
-    occurrence (append order is delivery order; later appends are
-    retries of the same window).
-    """
-    replay = JournalReplay()
-    if not os.path.exists(path):
-        return replay
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    seen: set[tuple[str, int]] = set()
-    offset = 0
-    while offset < len(blob):
-        header = blob[offset:offset + _HEADER.size]
-        if len(header) < _HEADER.size:
-            replay.torn += 1
-            break
-        magic, length, crc = _HEADER.unpack(header)
-        payload = blob[offset + _HEADER.size:offset + _HEADER.size + length]
-        if (magic != MAGIC or len(payload) < length
-                or zlib.crc32(payload) & 0xFFFFFFFF != crc):
-            replay.torn += 1
-            break
-        try:
-            record = VerdictRecord.from_payload(payload)
-        except (ValueError, KeyError):
-            replay.torn += 1
-            break
-        offset += _HEADER.size + length
-        replay.bytes_read = offset
-        if record.record_id in seen:
-            replay.duplicates += 1
-            continue
-        seen.add(record.record_id)
-        replay.records.append(record)
-    return replay
+def replay_journal(path: str) -> Replay:
+    """Crash-safe replay of a journal file (see :func:`repro.wal.replay`)."""
+    return replay(path, VerdictRecord)
 
 
 class VerdictJournal:
@@ -171,10 +106,11 @@ class VerdictJournal:
         fsync_every: records between disk barriers.  A crash loses at
             most the unsynced tail *of the file buffer*; records framed
             but unsynced are still usually recovered (the OS flushed
-            them), and a torn final frame is detected on replay.
+            them), and a torn final frame is detected on replay and cut
+            off when the journal is next opened.
         registry: metrics registry for the journal gauges
-            (``serving_journal_disk_bytes``, depth, appends, overflow);
-            the process default when omitted.
+            (``serving_journal_disk_bytes``, depth, appends, overflow,
+            truncated); the process default when omitted.
     """
 
     def __init__(self, path: str, *, fsync_every: int = 8,
@@ -184,11 +120,13 @@ class VerdictJournal:
         self.path = str(path)
         self.fsync_every = int(fsync_every)
         try:
-            self._handle = open(self.path, "ab")
+            self._wal, recovered = WriteAheadLog.open(self.path,
+                                                      VerdictRecord)
         except OSError as error:
             raise JournalError(f"cannot open journal {path!r}: {error}") \
                 from error
-        self._since_sync = 0
+        #: Torn tail frames cut off when this journal was opened.
+        self.torn_truncated = recovered.torn
         self._disk_full = False
         self._overflow: list[VerdictRecord] = []
         self._unsynced: list[VerdictRecord] = []
@@ -208,6 +146,10 @@ class VerdictJournal:
         self._obs_overflow = registry.counter(
             "serving_journal_overflow_total",
             "Records buffered in memory because the journal disk was full")
+        registry.counter(
+            "serving_journal_truncated_total",
+            "Torn tail frames truncated when the journal was opened",
+        ).inc(self.torn_truncated)
         self._obs_bytes.set(self.size_bytes)
 
     # -- fault injection -------------------------------------------------
@@ -236,33 +178,23 @@ class VerdictJournal:
         """
         self.appended += 1
         self._obs_appends.inc()
-        if self._disk_full:
+        if not self._disk_full:
+            self._drain_overflow()
+        # Once disk-full trips (before or during the drain) the new
+        # record queues behind the still-parked older records, never
+        # jumping them onto disk.
+        if self._disk_full or not self._write(record):
             self._overflow.append(record)
             self.overflowed += 1
             self._obs_overflow.inc()
             return False
-        self._drain_overflow()
-        if self._disk_full:
-            # The drain itself tripped disk-full; the new record must
-            # queue behind the still-parked older records, never jump
-            # them onto disk.
-            self._overflow.append(record)
-            self.overflowed += 1
-            self._obs_overflow.inc()
-            return False
-        if not self._write(record):
-            self._overflow.append(record)
-            self.overflowed += 1
-            self._obs_overflow.inc()
-            return False
-        self._since_sync += 1
-        if self._since_sync >= self.fsync_every:
+        if self._wal.unsynced >= self.fsync_every:
             self.sync()
         return True
 
     def _write(self, record: VerdictRecord) -> bool:
         try:
-            self._handle.write(frame_record(record))
+            self._wal.write(record)
         except OSError:
             self._disk_full = True
             return False
@@ -275,8 +207,7 @@ class VerdictJournal:
             if not self._write(self._overflow[0]):
                 return
             self._overflow.pop(0)
-            self._since_sync += 1
-        if self._since_sync >= self.fsync_every:
+        if self._wal.unsynced >= self.fsync_every:
             self.sync()
 
     def sync(self) -> None:
@@ -289,11 +220,8 @@ class VerdictJournal:
         the original bytes did land, replay dedups the rewrite by
         (driver, window) id.
         """
-        if self._handle.closed:
-            return
         try:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
+            self._wal.flush()
         except OSError:
             self._disk_full = True
             if self._unsynced:
@@ -301,36 +229,29 @@ class VerdictJournal:
                 self.overflowed += len(self._unsynced)
                 self._obs_overflow.inc(len(self._unsynced))
                 self._unsynced.clear()
-            self._since_sync = 0
             return
         self._unsynced.clear()
         self.synced = self.appended - len(self._overflow)
-        self._since_sync = 0
 
     # -- inspection ------------------------------------------------------
     @property
     def size_bytes(self) -> int:
         """Bytes written to the journal file so far (buffered included)."""
-        if self._handle.closed:
-            try:
-                return os.path.getsize(self.path)
-            except OSError:
-                return 0
-        return self._handle.tell()
+        return self._wal.size_bytes
 
     def set_depth(self, depth: int) -> None:
         """Publish the undelivered-record depth (set by the owning sink)."""
         self._obs_depth.set(depth)
 
-    def replay(self) -> JournalReplay:
+    def replay(self) -> Replay:
         """Re-read this journal from disk (syncs buffered frames first)."""
         self.sync()
         return replay_journal(self.path)
 
     def close(self) -> None:
-        if not self._handle.closed:
+        if not self._wal.closed:
             self.sync()
-            self._handle.close()
+            self._wal.close()
 
 
 class StoreAndForwardSink:

@@ -1,16 +1,12 @@
-"""Edge spool: CRC framing, ack cursor, torn-tail truncation, SIGKILL."""
+"""Edge spool policy: ack cursor, compaction and ``last_sequence``.
+Framing, replay and crash recovery are tested once for both owners of
+the shared log in ``tests/test_wal.py``."""
 
 import json
-import os
-import signal
-import subprocess
-import sys
-import time
 
 import pytest
 
 from repro.edge import EdgeSpool, SpoolRecord, replay_spool
-from repro.edge.spool import frame_spool_record
 from repro.exceptions import ConfigurationError, SpoolError
 
 
@@ -61,51 +57,6 @@ def test_reopen_resumes_only_unacked(tmp_path):
     reopened = EdgeSpool.open(path)
     assert [r.sequence for r in reopened.pending()] == [2, 4, 5]
     reopened.close()
-
-
-def test_torn_tail_is_truncated_in_place(tmp_path):
-    path = str(tmp_path / "s.wal")
-    spool = EdgeSpool.open(path)
-    for i in range(1, 4):
-        spool.append(record(i))
-    spool.close()
-    clean_size = os.path.getsize(path)
-    frame = frame_spool_record(record(4))
-    with open(path, "ab") as handle:
-        handle.write(frame[: len(frame) // 2])  # SIGKILL mid-write
-    reopened = EdgeSpool.open(path)
-    assert reopened.torn_truncated == 1
-    assert os.path.getsize(path) == clean_size
-    # Appends resume on a clean frame boundary after the cut.
-    reopened.append(record(4))
-    reopened.sync()
-    replay = replay_spool(path)
-    assert [r.sequence for r in replay.records] == [1, 2, 3, 4]
-    assert replay.torn == 0
-    reopened.close()
-
-
-def test_replay_dedups_by_record_id(tmp_path):
-    path = str(tmp_path / "s.wal")
-    with open(path, "wb") as handle:
-        handle.write(frame_spool_record(record(1)))
-        handle.write(frame_spool_record(record(2)))
-        handle.write(frame_spool_record(record(1)))  # crash-replayed
-    replay = replay_spool(path)
-    assert [r.sequence for r in replay.records] == [1, 2]
-    assert replay.duplicates == 1
-
-
-def test_replay_rejects_corrupt_crc(tmp_path):
-    path = str(tmp_path / "s.wal")
-    with open(path, "wb") as handle:
-        handle.write(frame_spool_record(record(1)))
-    blob = bytearray(open(path, "rb").read())
-    blob[-1] ^= 0xFF
-    with open(path, "wb") as handle:
-        handle.write(blob)
-    replay = replay_spool(path)
-    assert replay.records == [] and replay.torn == 1
 
 
 def test_last_sequence_recovers_across_reopen(tmp_path):
@@ -191,50 +142,3 @@ def test_invalid_config_and_unwritable_path():
         EdgeSpool.open("/tmp/x.wal", fsync_every=0)
     with pytest.raises(SpoolError):
         EdgeSpool.open("/nonexistent-dir/spool.wal")
-
-
-def test_sigkill_mid_append_truncates_and_resumes(tmp_path):
-    """An agent SIGKILLed mid-append must leave a spool whose torn tail
-    is both detected and truncated on the next open, with the surviving
-    prefix gapless and duplicate-free."""
-    path = str(tmp_path / "crash.wal")
-    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-    writer = (
-        "import sys; sys.path.insert(0, sys.argv[2])\n"
-        "from repro.edge.spool import EdgeSpool, SpoolRecord\n"
-        "spool = EdgeSpool.open(sys.argv[1], fsync_every=4)\n"
-        "i = 0\n"
-        "while True:\n"
-        "    i += 1\n"
-        "    spool.append(SpoolRecord(agent_id='edge-0', sequence=i,\n"
-        "                             timestamp=0.1 * i, predicted=1))\n"
-    )
-    proc = subprocess.Popen([sys.executable, "-c", writer, path,
-                             os.path.abspath(src)])
-    try:
-        deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline:
-            if os.path.exists(path) and os.path.getsize(path) > 4096:
-                break
-            time.sleep(0.01)
-        else:
-            pytest.fail("spool writer never produced data")
-        proc.send_signal(signal.SIGKILL)
-        proc.wait(timeout=10)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-    raw = replay_spool(path)
-    assert raw.torn <= 1  # at most the one frame the kill interrupted
-    spool = EdgeSpool.open(path)
-    # Recovery truncated exactly the torn frame (if any) and queued the
-    # gapless surviving prefix for upload.
-    assert spool.torn_truncated == raw.torn
-    assert os.path.getsize(path) == raw.bytes_read
-    sequences = [r.sequence for r in spool.pending()]
-    assert len(sequences) > 0
-    assert sequences == list(range(1, len(sequences) + 1))
-    clean = replay_spool(path)
-    assert clean.torn == 0 and clean.duplicates == 0
-    spool.close()
