@@ -2,9 +2,13 @@
 
 Measures what the resilience layer adds to the serving path and what it
 costs: append/replay throughput of the fsync-batched verdict journal
-across fsync cadences, and the wall-clock price of a full failover
-(shard killed mid-drive, watchdog detection, checkpoint migration,
-backoff restart) via the scripted serving chaos run.
+across fsync cadences, the wall-clock price of a full failover (shard
+killed mid-drive, watchdog detection, checkpoint migration, backoff
+restart) via the scripted serving chaos run, and how fast a backlog
+drains: acking a full edge spool, and offering into a blackholed
+store-and-forward sink then pumping it.  The backlog rows are reported
+at two sizes so that a per-record cost that grows with the backlog
+shows as falling records/s; they carry no gate.
 
 Runs two ways:
 
@@ -87,6 +91,70 @@ def run_journal_bench(records: int = 5000,
     return rows
 
 
+def run_spool_drain_bench(sizes: tuple[int, ...] = (2000, 8000)
+                          ) -> list[dict]:
+    """Ack every record of a full edge spool (the drain after an uplink
+    outage), then the disk barrier that persists the ack cursor."""
+    from repro.edge import EdgeSpool, SpoolRecord
+    from repro.obs import MetricsRegistry
+
+    rows = []
+    for size in sizes:
+        with tempfile.TemporaryDirectory() as tmp:
+            spool = EdgeSpool.open(os.path.join(tmp, "spool.wal"),
+                                   registry=MetricsRegistry())
+            for sequence in range(1, size + 1):
+                spool.append(SpoolRecord(agent_id="edge-0",
+                                         sequence=sequence,
+                                         timestamp=0.25 * sequence))
+            spool.sync()
+            started = time.perf_counter()
+            for sequence in range(1, size + 1):
+                spool.ack(sequence)
+            spool.sync()
+            seconds = time.perf_counter() - started
+            rows.append({"records": size,
+                         "records_per_s": round(size / seconds, 1),
+                         "left_pending": spool.depth})
+            spool.close()
+    return rows
+
+
+def run_sink_backlog_bench(sizes: tuple[int, ...] = (2000, 8000)
+                           ) -> list[dict]:
+    """Offer records into a blackholed sink (journaled, queued), then
+    reconnect and pump the backlog downstream."""
+    from repro.obs import MetricsRegistry
+    from repro.serving import (
+        StoreAndForwardSink,
+        VerdictJournal,
+        VerdictRecord,
+    )
+
+    rows = []
+    for size in sizes:
+        with tempfile.TemporaryDirectory() as tmp:
+            registry = MetricsRegistry()
+            journal = VerdictJournal(os.path.join(tmp, "verdicts.wal"),
+                                     registry=registry)
+            sink = StoreAndForwardSink(journal, registry=registry)
+            sink.blackholed = True
+            started = time.perf_counter()
+            for index in range(size):
+                sink.offer(VerdictRecord(
+                    session_id=f"drv-{index % 8}", sequence=index,
+                    timestamp=0.25 * index, predicted=2,
+                    confidence=0.9, model_key="base"))
+            sink.blackholed = False
+            sink.pump(0.0)
+            seconds = time.perf_counter() - started
+            rows.append({"records": size,
+                         "records_per_s": round(size / seconds, 1),
+                         "delivered": len(sink.delivered)})
+            journal.close()
+    return rows
+
+
 def run_failover_bench(drivers: int = 4, duration: float = 12.0,
                        seed: int = 0) -> dict:
     """Wall-clock cost of a full scripted failover (virtual-clock chaos
@@ -115,7 +183,8 @@ def run_failover_bench(drivers: int = 4, duration: float = 12.0,
     }
 
 
-def format_resilience(journal_rows: list[dict], failover: dict) -> str:
+def format_resilience(journal_rows: list[dict], failover: dict,
+                      backlog: dict | None = None) -> str:
     """Text form of the JSON report."""
     lines = [
         "Serving resilience — journal throughput and failover cost",
@@ -144,6 +213,10 @@ def format_resilience(journal_rows: list[dict], failover: dict) -> str:
     ])
     if failover["violations"]:
         lines.append("  VIOLATIONS: " + "; ".join(failover["violations"]))
+    for name, rows in (backlog or {}).items():
+        cells = ", ".join(f"{row['records']} records "
+                          f"{row['records_per_s']:.0f}/s" for row in rows)
+        lines.append(f"  {name.replace('_', ' ')} backlog: {cells}")
     return "\n".join(lines)
 
 
@@ -199,11 +272,14 @@ def main(argv: list[str] | None = None) -> int:
     journal_rows = run_journal_bench(records)
     failover = run_failover_bench(drivers=2 if args.quick else 6,
                                   duration=duration)
-    report = {"journal": journal_rows, "failover": failover}
+    backlog = {"spool_drain": run_spool_drain_bench(),
+               "sink": run_sink_backlog_bench()}
+    report = {"journal": journal_rows, "failover": failover,
+              "backlog": backlog}
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2)
-    print(format_resilience(journal_rows, failover))
+    print(format_resilience(journal_rows, failover, backlog))
     print(f"\n[json report written to {args.out}]")
     failed = False
     for row in journal_rows:

@@ -10,8 +10,16 @@ shared write-ahead log (:mod:`repro.wal`) the serving journal also uses:
   upload is attempted;
 * an **ack cursor** sidecar records how far the controller has
   acknowledged; on restart only unacknowledged records re-enter the
-  upload queue (the controller dedups by record id, so a crashed cursor
-  write costs a duplicate upload, never a lost one);
+  upload queue.  An ack is an in-memory update: the cursor file is
+  written only at the spool's disk barrier (every ``fsync_every``
+  appends, :meth:`EdgeSpool.sync`, compaction) and only when something
+  was acked since it was last written, so a crash re-uploads at most one
+  barrier interval of acks, which the controller dedups by record id —
+  a duplicate upload, never a lost one;
+* compaction writes the cursor durably (fsynced) *before* it rewrites
+  the WAL without the acked records: with the order reversed, a crash
+  in between would leave a stale cursor over a WAL that no longer holds
+  the acked records, and :attr:`EdgeSpool.last_sequence` would regress;
 * :meth:`EdgeSpool.open` replays the WAL on startup, truncating a torn
   tail in place; recovery also restores :attr:`EdgeSpool.last_sequence`,
   the highest sequence ever spooled *or* acknowledged, so a restarted
@@ -25,6 +33,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import islice
 from typing import ClassVar
 
 from repro.exceptions import ConfigurationError, SpoolError
@@ -124,12 +133,15 @@ class EdgeSpool:
         #: Highest sequence ever spooled or acked; seed new sequences
         #: past this so a restart never reuses one.
         self.last_sequence = 0
-        self._pending: list[SpoolRecord] = []
+        # Unacknowledged records by sequence, in append order.
+        self._pending: dict[int, SpoolRecord] = {}
         # Sequences are 1-based; ``_acked_through == 0`` means nothing
         # acked yet, and out-of-order acks wait in the extra set until
         # the gap below them closes.
         self._acked_through = 0
         self._acked_extra: set[int] = set()
+        # Acked since the cursor file was last written.
+        self._cursor_dirty = False
         registry = registry or get_registry()
         self._obs_depth = registry.gauge(
             "edge_spool_depth", "Spooled records awaiting upload ack")
@@ -163,7 +175,7 @@ class EdgeSpool:
     def _recover(self, recovered: Replay) -> None:
         for record in recovered.records:
             if not self._is_acked(record.sequence):
-                self._pending.append(record)
+                self._pending.setdefault(record.sequence, record)
         # The cursor can sit above every surviving record (a compacted,
         # fully-acked spool has an empty WAL), so the high-water mark is
         # the max across both the WAL and the ack state.
@@ -186,16 +198,25 @@ class EdgeSpool:
             self._acked_through = 0
             self._acked_extra = set()
 
-    def _save_cursor(self) -> None:
+    def _save_cursor(self, *, durable: bool = False) -> bool:
+        """Replace the cursor file; ``durable`` fsyncs it first.
+
+        Returns whether the cursor landed.
+        """
         payload = json.dumps({"acked_through": self._acked_through,
                               "extra": sorted(self._acked_extra)})
         tmp = self.cursor_path + ".tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as handle:
                 handle.write(payload)
+                if durable:
+                    handle.flush()
+                    os.fsync(handle.fileno())
             os.replace(tmp, self.cursor_path)
         except OSError:
-            pass  # a stale cursor only costs deduplicated re-uploads
+            return False  # a stale cursor costs deduplicated re-uploads
+        self._cursor_dirty = False
+        return True
 
     def _is_acked(self, sequence: int) -> bool:
         return sequence <= self._acked_through \
@@ -215,11 +236,23 @@ class EdgeSpool:
         self._obs_appends.inc()
         if self._wal.unsynced >= self.fsync_every:
             self.sync()
-        self._pending.append(record)
+        # A duplicate append keeps the first record, as replay does.
+        self._pending.setdefault(record.sequence, record)
         self._publish()
 
     def sync(self) -> None:
-        """Flush buffered frames and issue the disk barrier."""
+        """The disk barrier: write the ack cursor if anything was acked
+        since it was last written, then flush and fsync buffered frames.
+
+        Either order is safe (an ack only ever names a record already
+        spooled); renaming the cursor ahead of the fsync measured
+        cheaper than after it.
+        """
+        if self._cursor_dirty:
+            self._save_cursor()
+        self._flush_wal()
+
+    def _flush_wal(self) -> None:
         try:
             self._wal.flush()
         except OSError:
@@ -233,23 +266,23 @@ class EdgeSpool:
 
     def pending(self, limit: int | None = None) -> list[SpoolRecord]:
         """The oldest unacknowledged records, in append order."""
-        if limit is None:
-            return list(self._pending)
-        return self._pending[:limit]
+        return list(islice(self._pending.values(), limit))
 
     def ack(self, sequence: int) -> None:
-        """The controller acknowledged the record carrying ``sequence``."""
+        """The controller acknowledged the record carrying ``sequence``.
+
+        In memory only; the next disk barrier persists the cursor.
+        """
         if self._is_acked(sequence):
             return
         self._acked_extra.add(sequence)
         while self._acked_through + 1 in self._acked_extra:
             self._acked_through += 1
             self._acked_extra.discard(self._acked_through)
-        self._pending = [r for r in self._pending
-                         if r.sequence != sequence]
+        self._pending.pop(sequence, None)
         self.acked += 1
         self._obs_acked.inc()
-        self._save_cursor()
+        self._cursor_dirty = True
         self._publish()
 
     # -- maintenance -------------------------------------------------------
@@ -263,12 +296,15 @@ class EdgeSpool:
         Called on clean shutdown so an agent that has been online for a
         long drive does not replay megabytes of acked history next boot.
         """
-        self.sync()
-        self._wal.rewrite(self._pending)
-        # The ack cursor survives compaction untouched: surviving
-        # records keep their original (high) sequences, so resetting it
-        # would strand every future ack in the extra set forever.
-        self._save_cursor()
+        self._flush_wal()
+        # The cursor must be durable before the acked records leave the
+        # WAL, or a crash in between regresses ``last_sequence``; when
+        # it cannot be written, keep the full WAL.  The cursor itself
+        # survives compaction untouched: surviving records keep their
+        # original (high) sequences, so resetting it would strand every
+        # future ack in the extra set forever.
+        if self._save_cursor(durable=True):
+            self._wal.rewrite(self._pending.values())
         self._publish()
 
     def close(self) -> None:

@@ -82,11 +82,13 @@ class EdgeUploader:
         """Process acks/retransmits, then launch new uploads; returns sends.
 
         Oldest spooled records go first, skipping anything already in
-        flight, until the in-flight window is full.
+        flight, until the in-flight window is full.  In-flight records
+        are pending too, so the oldest ``window`` pending records hold
+        every record this step could launch.
         """
         self.sender.step(now)
         sent = 0
-        for record in self.spool.pending():
+        for record in self.spool.pending(self.window):
             if len(self._inflight) >= self.window:
                 break
             if record.sequence in self._inflight_records:

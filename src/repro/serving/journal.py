@@ -28,6 +28,7 @@ double-alerts.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -279,7 +280,8 @@ class StoreAndForwardSink:
         self.downstream = downstream
         self.blackholed = False
         self.delivered: list[VerdictRecord] = []
-        self._pending: list[VerdictRecord] = []
+        self._pending: deque[VerdictRecord] = deque()
+        self._pending_ids: set[tuple[str, int]] = set()
         self._delivered_ids: set[tuple[str, int]] = set()
         self.duplicates_suppressed = 0
         self.delivery_failures = 0
@@ -302,10 +304,11 @@ class StoreAndForwardSink:
             self.duplicates_suppressed += 1
             return
         self.journal.append(record)
-        if any(p.record_id == record.record_id for p in self._pending):
+        if record.record_id in self._pending_ids:
             self.duplicates_suppressed += 1
             return
         self._pending.append(record)
+        self._pending_ids.add(record.record_id)
         self.journal.set_depth(len(self._pending))
 
     def pump(self, now: float) -> int:
@@ -313,14 +316,13 @@ class StoreAndForwardSink:
         del now  # deliveries are attempted every pump; no wall timers
         sent = 0
         while self._pending:
+            # ``offer`` never queues a delivered id, so every pending
+            # record is new to the downstream.
             record = self._pending[0]
-            if record.record_id in self._delivered_ids:
-                self._pending.pop(0)
-                self.duplicates_suppressed += 1
-                continue
             if not self._deliver(record):
                 break
-            self._pending.pop(0)
+            self._pending.popleft()
+            self._pending_ids.discard(record.record_id)
             self._delivered_ids.add(record.record_id)
             self.delivered.append(record)
             self._obs_delivered.inc()

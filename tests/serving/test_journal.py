@@ -194,6 +194,34 @@ def test_sink_dedups_while_pending(tmp_path):
     assert len(sink.delivered) == 1
 
 
+def test_sink_suppresses_duplicates_in_a_blackhole_backlog(tmp_path):
+    """Duplicates offered into a blackholed backlog are journaled (the
+    journal is written before the dedup check), suppressed and counted;
+    on reconnect every record is delivered once, in order."""
+    path = str(tmp_path / "j.wal")
+    journal = VerdictJournal(path)
+    downstream: list[VerdictRecord] = []
+    sink = StoreAndForwardSink(journal, downstream.append)
+    sink.blackholed = True
+    for i in (0, 1, 2, 1, 3, 0, 2, 4):
+        sink.offer(record(i))
+        sink.pump(float(i))
+    assert sink.pending == 5
+    assert sink.duplicates_suppressed == 3
+    sink.blackholed = False
+    assert sink.pump(9.0) == 5
+    assert [r.sequence for r in downstream] == [0, 1, 2, 3, 4]
+    assert sink.pending == 0
+    sink.offer(record(3))  # a late retry of a delivered record
+    assert sink.pump(10.0) == 0
+    assert sink.duplicates_suppressed == 4
+    assert len(downstream) == 5
+    journal.close()
+    replay = replay_journal(path)
+    assert [r.sequence for r in replay.records] == [0, 1, 2, 3, 4]
+    assert replay.duplicates == 3
+
+
 def test_sink_failing_downstream_is_a_fault_barrier(tmp_path):
     journal = VerdictJournal(str(tmp_path / "j.wal"))
     calls = []

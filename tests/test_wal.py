@@ -114,12 +114,14 @@ def test_replay_dedups_by_record_id(owner, tmp_path):
     log.append(owner.record(1))
     log.append(owner.record(2))
     log.append(owner.record(1))  # a retried or crash-replayed append
-    log.close()
+    log.sync()  # replay the log as written, before close() may compact it
     replayed = owner.replay(path)
     assert sequences(replayed) == [1, 2]
     assert replayed.duplicates == 1
     assert replayed.ids == {owner.record(1).record_id,
                             owner.record(2).record_id}
+    log.close()
+    assert sequences(owner.replay(path)) == [1, 2]
 
 
 _WRITER = (
